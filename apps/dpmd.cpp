@@ -21,6 +21,8 @@
 //   dpmd --print-example-transcript
 
 #include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -114,6 +116,10 @@ int run_client(const std::string& endpoint, const std::string& transcript) {
     std::fprintf(stderr, "dpmd: cannot connect to %s\n", endpoint.c_str());
     return 1;
   }
+  // One small request line per write: send each at once instead of
+  // holding it for the ACK of the previous one (Nagle).
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
   std::string pending;
   char buf[4096];

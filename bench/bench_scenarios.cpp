@@ -500,10 +500,11 @@ int main(int argc, char** argv) {
     const std::uintmax_t total =
         static_cast<std::uintmax_t>(t.sparse_sweeps + t.dense_sweeps);
     std::printf("telemetry: sparse_sweeps=%ju dense_sweeps=%ju "
-                "touched_entries=%ju sparse_pct=%.1f\n",
+                "touched_entries=%ju refactorizations=%ju sparse_pct=%.1f\n",
                 static_cast<std::uintmax_t>(t.sparse_sweeps),
                 static_cast<std::uintmax_t>(t.dense_sweeps),
                 static_cast<std::uintmax_t>(t.touched_entries),
+                static_cast<std::uintmax_t>(t.refactorizations),
                 total == 0 ? 0.0
                            : 100.0 * static_cast<double>(t.sparse_sweeps) /
                                  static_cast<double>(total));

@@ -18,8 +18,10 @@
 #                                # the dense-tail block carries >30% of
 #                                # sweeps on a mid-size MDP LP with the
 #                                # crash basis at least halving the cold
-#                                # pivot count, and tiny instances keep
-#                                # the block machinery off
+#                                # pivot count, tiny instances keep
+#                                # the block machinery off, and a dpmd
+#                                # near hit refactorizes only when its
+#                                # repair pivots (once, for the finish)
 #   scripts/verify.sh --fault-smoke
 #                                # Release build, then the injected-
 #                                # fault matrix: every probe site over
@@ -136,6 +138,39 @@ check_perf_smoke() {
     return 1
   fi
   echo "perf smoke: ok (block share ${block_pct}%, crash ${crash_pivots} vs cold ${cold_pivots} pivots)"
+
+  echo "=== perf smoke: from-scratch LUs per dpmd near hit (serve scenario) ==="
+  # Count gate on the serve scenario's LU-reuse unit, run alone at
+  # --jobs 1 so the process-wide refactorization odometer sees only its
+  # solves: a session keeps its simplex engine and the fresh LU of its
+  # canonical basis, so a zero-pivot near hit must refactorize 0 times
+  # and a pivoting one exactly once (its canonical finish, in place).
+  local serve_line still still_lus moved moved_lus
+  serve_line="$(build/bench_scenarios --smoke --no-cache --jobs 1 \
+                  --exact serve | grep 'near-hit refactorizations:' || true)"
+  echo "${serve_line}"
+  still="$(echo "${serve_line}" | sed -n 's/.*zero_pivot=\([0-9]*\) lus=.*/\1/p')"
+  still_lus="$(echo "${serve_line}" | sed -n 's/.*zero_pivot=[0-9]* lus=\([0-9]*\).*/\1/p')"
+  moved="$(echo "${serve_line}" | sed -n 's/.*pivoting=\([0-9]*\) lus=.*/\1/p')"
+  moved_lus="$(echo "${serve_line}" | sed -n 's/.*pivoting=[0-9]* lus=\([0-9]*\).*/\1/p')"
+  if [[ -z "${still}" || -z "${still_lus}" || -z "${moved}" \
+        || -z "${moved_lus}" ]]; then
+    echo "perf smoke: FAILED (no near-hit refactorizations line in the serve scenario output)"
+    return 1
+  fi
+  if (( still == 0 || moved == 0 )); then
+    echo "perf smoke: FAILED (the LU-reuse walk needs both zero-pivot and pivoting near hits)"
+    return 1
+  fi
+  if (( still_lus != 0 )); then
+    echo "perf smoke: FAILED (${still} zero-pivot near hits ran ${still_lus} refactorizations, want 0)"
+    return 1
+  fi
+  if (( moved_lus != moved )); then
+    echo "perf smoke: FAILED (${moved} pivoting near hits ran ${moved_lus} refactorizations, want ${moved})"
+    return 1
+  fi
+  echo "perf smoke: ok (${still} zero-pivot near hits: 0 LUs; ${moved} pivoting: 1 LU each)"
 }
 
 check_serve_smoke() {

@@ -758,6 +758,16 @@ bool BasisFactorization::refactorize(std::size_t n,
   return true;
 }
 
+bool BasisFactorization::rewind() noexcept {
+  if (!lu_.valid() || !etas_.empty()) return false;
+  sweep_extra_ = 0;
+  partial_valid_ = false;
+  uftran_gate_.reset();
+  ubtran_gate_.reset();
+  lu_.reset_probe_gates();
+  return true;
+}
+
 bool BasisFactorization::update(std::size_t r, const Vector& d) {
   // Fault injection: an update refusal storm that refactorization
   // cannot keep up with.  A single organic refusal (the interval check

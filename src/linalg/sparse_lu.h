@@ -197,6 +197,12 @@ class SparseLu {
     u_cols_.clear();
     u_diag_.clear();
   }
+  /// Re-arms both reachability-probe gates, as factorize() does.
+  void reset_probe_gates() noexcept {
+    lower_gate_.reset();
+    ltrans_gate_.reset();
+  }
+
   /// Elimination position -> caller column of the pivot chosen there.
   const std::vector<std::size_t>& col_of_position() const noexcept {
     return col_of_position_;
@@ -348,6 +354,16 @@ class BasisFactorization {
 
   /// Number of FT updates applied since the last refactorization.
   std::size_t updates_since_refactor() const noexcept { return etas_.size(); }
+
+  /// Returns a factorization that has taken no update since its last
+  /// refactorize() to exactly the state that refactorize() left: the
+  /// sweep-work accumulator, the spike cache and the probe gates are
+  /// the only things sweeps change, and they are reset here.  The L and
+  /// U arrays are a pure function of the basis columns, so a caller
+  /// that would refactorize the same basis again can rewind instead.
+  /// Returns false (changing nothing) when updates were applied or the
+  /// factorization is invalid; the caller must refactorize then.
+  bool rewind() noexcept;
 
   /// Refactorization trigger: the hard update-count cap, or — the
   /// amortized rule — once the *extra sweep work* spent since the last

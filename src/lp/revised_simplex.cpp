@@ -49,6 +49,11 @@ std::atomic<std::uint64_t> g_dense_sweeps{0};
 std::atomic<std::uint64_t> g_touched_entries{0};
 std::atomic<std::uint64_t> g_block_sweeps{0};
 std::atomic<std::uint64_t> g_block_entries{0};
+std::atomic<std::uint64_t> g_refactorizations{0};
+
+}  // namespace
+
+namespace detail {
 
 // Standard-form engine: columns [structural | slack/surplus | artificial]
 // over equality rows A x = b, 0 <= x <= u (u = +inf unless the problem
@@ -59,25 +64,26 @@ class RevisedSimplex {
  public:
   RevisedSimplex(const LpProblem& p, const RevisedSimplexOptions& opt)
       : opt_(opt),
+        source_(&p),
         n_struct_(p.num_variables()),
+        problem_upper_(p.upper_bounds()),
         factor_(opt.refactor_interval, 1e-11, opt.refactor_work_ratio) {
+    row_map_.assign(p.num_constraints(), kNone);
     // --- bound setup + singleton-row absorption ----------------------
-    upper_struct_.assign(n_struct_, kInf);
-    for (std::size_t j = 0; j < n_struct_; ++j) {
-      upper_struct_[j] = p.upper_bounds()[j];
-    }
+    upper_struct_ = problem_upper_;
     std::vector<char> keep_row(p.num_constraints(), 1);
     if (opt_.absorb_singleton_rows) {
       for (std::size_t i = 0; i < p.num_constraints(); ++i) {
-        if (!absorb_row(p.constraints()[i], keep_row[i])) {
+        bool judged = false;
+        if (!absorb_row(p.constraints()[i], keep_row[i], judged)) {
           infeasible_by_bounds_ = true;
           return;
         }
+        if (judged) rhs_judged_rows_.emplace_back(i, p.constraints()[i].rhs);
       }
     }
 
     // --- row remap + structural columns ------------------------------
-    row_map_.assign(p.num_constraints(), kNone);
     for (std::size_t i = 0; i < p.num_constraints(); ++i) {
       if (keep_row[i]) {
         row_map_[i] = m_;
@@ -148,6 +154,55 @@ class RevisedSimplex {
   bool infeasible_by_bounds() const noexcept { return infeasible_by_bounds_; }
   bool is_artificial(std::size_t j) const { return j >= first_artificial_; }
 
+  /// Re-targets this engine at `p` — the problem it was built from,
+  /// rhs moved — under `opt`, and resets every piece of per-solve state
+  /// to its value after construction; the factorization is kept for
+  /// adopt_or_refactorize().  Returns false, changing nothing, when a
+  /// new engine would build a different standard form: another problem
+  /// object or shape, other bounds or structural options, an
+  /// artificial column whose sign (rhs < 0) flips, or a moved rhs on a
+  /// row the bound absorption judged by its rhs.  O(m) plus an O(n)
+  /// bounds comparison.
+  bool rebind(const LpProblem& p, const RevisedSimplexOptions& opt) {
+    if (infeasible_by_bounds_ || &p != source_ ||
+        p.num_variables() != n_struct_ ||
+        p.num_constraints() != row_map_.size() ||
+        opt.refactor_interval != opt_.refactor_interval ||
+        opt.refactor_work_ratio != opt_.refactor_work_ratio ||
+        opt.absorb_singleton_rows != opt_.absorb_singleton_rows ||
+        opt.feas_tol != opt_.feas_tol || p.upper_bounds() != problem_upper_) {
+      return false;
+    }
+    const std::vector<Constraint>& rows = p.constraints();
+    for (const auto& [i0, rhs] : rhs_judged_rows_) {
+      if (rows[i0].rhs != rhs) return false;
+    }
+    for (std::size_t i0 = 0; i0 < rows.size(); ++i0) {
+      const std::size_t i = row_map_[i0];
+      if (i != kNone && (rows[i0].rhs < 0.0) != (rhs_[i] < 0.0)) return false;
+    }
+    for (std::size_t i0 = 0; i0 < rows.size(); ++i0) {
+      if (row_map_[i0] != kNone) rhs_[row_map_[i0]] = rows[i0].rhs;
+    }
+    opt_ = opt;
+    uncap_artificials();
+    std::fill(at_upper_.begin(), at_upper_.end(), 0);
+    crash_seeded_.clear();
+    xb_.clear();
+    devex_.clear();
+    dse_w_.clear();
+    y_.clear();
+    y_pivots_ = 0;
+    y_stale_ = true;
+    price_start_ = 0;
+    section_size_ = 0;
+    return true;
+  }
+
+  /// True when factor_ is a from-scratch LU of the current basis_ with
+  /// no update since — the LU refactorize() would rebuild, bit for bit.
+  bool lu_current() const noexcept { return lu_current_; }
+
   /// Cold start: slack basis where the slack sign admits it, artificial
   /// elsewhere.  Returns true when any artificial entered the basis
   /// (phase 1 required).
@@ -181,6 +236,7 @@ class RevisedSimplex {
   /// follows, exactly as for a warm basis.
   bool install_crash_basis(const std::vector<std::size_t>& crash) {
     if (crash.size() != row_map_.size()) return false;
+    lu_current_ = false;
     basis_.assign(m_, kNone);
     std::fill(at_upper_.begin(), at_upper_.end(), 0);
     crash_seeded_.assign(n_struct_, 0);
@@ -253,12 +309,28 @@ class RevisedSimplex {
     for (std::size_t i = 0; i < m_; ++i) bcols[i] = cols_[basis_[i]];
     const double t0 = now_ms();
     const bool ok = factor_.refactorize(m_, bcols);
+    lu_current_ = ok;
+    ++refactorizations_;
     if (opt_.stats != nullptr) {
       opt_.stats->refactorizations += 1;
       opt_.stats->refactor_ms += now_ms() - t0;
       if (ok) opt_.stats->factor_nonzeros = factor_.factor_nonzeros();
     }
     return ok;
+  }
+
+  /// Factorization for a freshly installed basis: adopts the kept LU
+  /// when `reusable` (the caller checked, before the install, that the
+  /// LU was current for exactly this basis), else refactorizes.
+  bool adopt_or_refactorize(bool reusable) {
+    if (reusable && factor_.rewind()) {
+      lu_current_ = true;
+      if (opt_.stats != nullptr) {
+        opt_.stats->factor_nonzeros = factor_.factor_nonzeros();
+      }
+      return true;
+    }
+    return refactorize();
   }
 
   // Timed triangular-sweep wrappers: every B^{-1}/B^{-T} application in
@@ -450,16 +522,22 @@ class RevisedSimplex {
     }
   }
 
-  /// Folds the factorization's cumulative hypersparsity counters into
-  /// the per-solve stats sink and the process-wide odometer.  Called
-  /// exactly once, when the engine is done (the counters are cumulative
-  /// over the factorization's life).
-  void flush_sweep_telemetry() const {
-    const std::uint64_t s = factor_.sparse_sweeps();
-    const std::uint64_t dn = factor_.dense_sweeps();
-    const std::uint64_t t = factor_.touched_entries();
-    const std::uint64_t bs = factor_.block_sweeps();
-    const std::uint64_t be = factor_.block_entries();
+  /// Folds what this solve added to the factorization's cumulative
+  /// hypersparsity counters, and the refactorizations it ran, into the
+  /// per-solve stats sink and the process-wide odometer.  Called once
+  /// at the end of every solve; a retained engine's counters carry over
+  /// between solves, so only the deltas since the last flush count.
+  void flush_sweep_telemetry() {
+    const SweepTelemetry now{factor_.sparse_sweeps(), factor_.dense_sweeps(),
+                             factor_.touched_entries(), factor_.block_sweeps(),
+                             factor_.block_entries(), refactorizations_};
+    const std::uint64_t s = now.sparse_sweeps - flushed_.sparse_sweeps;
+    const std::uint64_t dn = now.dense_sweeps - flushed_.dense_sweeps;
+    const std::uint64_t t = now.touched_entries - flushed_.touched_entries;
+    const std::uint64_t bs = now.block_sweeps - flushed_.block_sweeps;
+    const std::uint64_t be = now.block_entries - flushed_.block_entries;
+    const std::uint64_t r = now.refactorizations - flushed_.refactorizations;
+    flushed_ = now;
     if (opt_.stats != nullptr) {
       opt_.stats->sparse_sweeps += s;
       opt_.stats->dense_sweeps += dn;
@@ -472,6 +550,7 @@ class RevisedSimplex {
     g_touched_entries.fetch_add(t, std::memory_order_relaxed);
     g_block_sweeps.fetch_add(bs, std::memory_order_relaxed);
     g_block_entries.fetch_add(be, std::memory_order_relaxed);
+    g_refactorizations.fetch_add(r, std::memory_order_relaxed);
   }
 
   struct PhaseResult {
@@ -990,8 +1069,10 @@ class RevisedSimplex {
  private:
   /// Folds a singleton (or degenerate) row into the bound set.  Returns
   /// false when the row alone is infeasible against x >= 0; sets `keep`
-  /// to 0 when the row is absorbed or redundant.
-  bool absorb_row(const Constraint& c, char& keep) {
+  /// to 0 when the row is absorbed or redundant, and `judged` when the
+  /// outcome depended on the row's rhs (an empty or inequality
+  /// singleton row).
+  bool absorb_row(const Constraint& c, char& keep, bool& judged) {
     // Count structural terms with nonzero coefficients.
     std::size_t nz = 0;
     std::size_t var = 0;
@@ -1003,6 +1084,7 @@ class RevisedSimplex {
         coeff = v;
       }
     }
+    judged = nz == 0 || (nz == 1 && c.sense != Sense::kEq);
     if (nz == 0) {
       // 0 (sense) rhs: decide feasibility outright, to the same
       // tolerance phase 1 would apply to the residual.
@@ -1032,6 +1114,7 @@ class RevisedSimplex {
   }
 
   void rebuild_in_basis() {
+    lu_current_ = false;  // every install lands here: basis_ is new
     in_basis_.assign(n_cols_, 0);
     for (const std::size_t j : basis_) in_basis_[j] = 1;
   }
@@ -1144,6 +1227,7 @@ class RevisedSimplex {
     in_basis_[enter] = 1;
     at_upper_[enter] = 0;  // basic variables are never at a bound marker
     basis_[leave] = enter;
+    lu_current_ = false;  // an update, or a refactorize that resets it
     const double t0 = opt_.stats != nullptr ? now_ms() : 0.0;
     const bool updated = factor_.update(leave, d);
     if (opt_.stats != nullptr) {
@@ -1200,6 +1284,7 @@ class RevisedSimplex {
   }
 
   RevisedSimplexOptions opt_;
+  const LpProblem* source_;  // the problem this standard form encodes
   std::size_t m_ = 0;
   std::size_t n_struct_ = 0;
   std::size_t n_cols_ = 0;
@@ -1208,7 +1293,10 @@ class RevisedSimplex {
   std::vector<linalg::SparseColumn> cols_;
   std::vector<std::size_t> slack_of_row_;
   std::vector<std::size_t> row_map_;  // original row -> engine row / kNone
+  // Rows whose absorption was decided by their rhs, with that rhs.
+  std::vector<std::pair<std::size_t, double>> rhs_judged_rows_;
   linalg::Vector rhs_;
+  linalg::Vector problem_upper_;  // the problem's own bounds
   linalg::Vector upper_struct_;  // structural bounds incl. absorbed rows
   linalg::Vector upper_;         // per standard-form column
   std::vector<std::size_t> finite_ub_cols_;
@@ -1238,7 +1326,28 @@ class RevisedSimplex {
   std::vector<char> alpha_mark_;
   std::vector<std::size_t> alpha_touched_;
   linalg::BasisFactorization factor_;
+  bool lu_current_ = false;  // see lu_current()
+  std::uint64_t refactorizations_ = 0;
+  SweepTelemetry flushed_;  // factor_ counters at the last flush
 };
+
+}  // namespace detail
+
+/// Reaches into RetainedSimplex for the solve entry point below.
+struct RetainedAccess {
+  static std::unique_ptr<detail::RevisedSimplex>& engine(
+      RetainedSimplex& handle) {
+    return handle.engine_;
+  }
+};
+
+RetainedSimplex::RetainedSimplex() noexcept = default;
+RetainedSimplex::~RetainedSimplex() = default;
+void RetainedSimplex::reset() noexcept { engine_.reset(); }
+
+namespace {
+
+using detail::RevisedSimplex;
 
 LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
                       const RevisedSimplexOptions& opt,
@@ -1266,8 +1375,12 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       sol.note = "warm-basis-corrupted";
       return sol;
     }
+    // A retained engine whose LU is current for exactly this basis
+    // (the canonical basis its last solve ended on) adopts that LU
+    // instead of rebuilding it.
+    const bool reusable = engine.lu_current() && engine.basis() == warm->basic;
     const bool installed = engine.install_warm_basis(*warm);
-    if (installed && !engine.refactorize()) {
+    if (installed && !engine.adopt_or_refactorize(reusable)) {
       // A basis that installs but will not factor is numerical trouble,
       // not staleness: surface it instead of silently going cold, so
       // the supervised path can retry deterministically.
@@ -1499,13 +1612,9 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
   return sol;
 }
 
-LpSolution solve_once(const LpProblem& problem,
-                      const RevisedSimplexOptions& opt,
-                      const SimplexBasis* warm, SimplexBasis* basis_out) {
-  RevisedSimplex engine(problem, opt);
-  const LpSolution sol = run_phases(engine, problem, opt, warm, basis_out);
-  engine.flush_sweep_telemetry();
-  return sol;
+bool determined(LpStatus status) {
+  return status == LpStatus::kOptimal || status == LpStatus::kInfeasible ||
+         status == LpStatus::kUnbounded;
 }
 
 /// Final poison audit: an optimal result carrying non-finite numbers
@@ -1520,6 +1629,33 @@ void audit_finite(LpSolution& sol) {
     sol.status = LpStatus::kNumericalFailure;
     sol.note = "nonfinite-values";
   }
+}
+
+/// One audited solve, on the options' retained engine when they carry
+/// one (re-targeted, or rebuilt when it cannot be) and on a new engine
+/// otherwise.  An engine whose solve did not end in a determination —
+/// a failure, a deadline, a throw mid-solve — is never reused.
+LpSolution solve_once(const LpProblem& problem,
+                      const RevisedSimplexOptions& opt,
+                      const SimplexBasis* warm, SimplexBasis* basis_out) {
+  std::unique_ptr<RevisedSimplex> own;
+  std::unique_ptr<RevisedSimplex>& engine =
+      opt.retained != nullptr ? RetainedAccess::engine(*opt.retained) : own;
+  if (engine == nullptr || !engine->rebind(problem, opt)) {
+    engine.reset();  // free the old standard form before building anew
+    engine = std::make_unique<RevisedSimplex>(problem, opt);
+  }
+  LpSolution sol;
+  try {
+    sol = run_phases(*engine, problem, opt, warm, basis_out);
+  } catch (...) {
+    engine.reset();
+    throw;
+  }
+  engine->flush_sweep_telemetry();
+  audit_finite(sol);
+  if (!determined(sol.status)) engine.reset();
+  return sol;
 }
 
 // Process-wide pivot odometer (monotone, never reset): lets tests
@@ -1540,6 +1676,7 @@ SweepTelemetry sweep_telemetry() noexcept {
   t.touched_entries = g_touched_entries.load(std::memory_order_relaxed);
   t.block_sweeps = g_block_sweeps.load(std::memory_order_relaxed);
   t.block_entries = g_block_entries.load(std::memory_order_relaxed);
+  t.refactorizations = g_refactorizations.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -1575,6 +1712,7 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
       } else {
         RevisedSimplexOptions inner = options;
         inner.presolve = false;  // the reduction is already a fixpoint
+        inner.retained = nullptr;  // another problem: its own engine
         SimplexBasis red_basis;
         const LpSolution red =
             solve_revised_simplex(ps.reduced(), inner, nullptr, &red_basis);
@@ -1593,7 +1731,6 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
   }
 
   LpSolution sol = solve_once(problem, options, warm, basis_out);
-  audit_finite(sol);
   if (sol.status != LpStatus::kIterationLimit) {
     if (options.stats != nullptr) {
       options.stats->solve_ms = now_ms() - t0;
@@ -1605,10 +1742,11 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
 
   // Degeneracy stall: retry cold on deterministically perturbed copies,
   // the same remedy (and helper) the dense tableau uses.
+  RevisedSimplexOptions fresh = options;
+  fresh.retained = nullptr;  // perturbed copies are other problems
   for (const double eps : {1e-11, 1e-9, 1e-7}) {
     const LpProblem copy = perturbed_copy(problem, eps);
-    LpSolution retry = solve_once(copy, options, nullptr, basis_out);
-    audit_finite(retry);
+    LpSolution retry = solve_once(copy, fresh, nullptr, basis_out);
     if (retry.status != LpStatus::kIterationLimit) {
       LpSolution out = retry;
       if (out.status == LpStatus::kOptimal) {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "lp/problem.h"
@@ -77,15 +78,57 @@ struct SimplexStats {
 /// solve_revised_simplex call since process start (thread-safe,
 /// monotone — same contract as pivots_executed()).  verify.sh's
 /// perf-smoke gate reads it to assert the sparse path stays the common
-/// case on the case-study scenarios.
+/// case on the case-study scenarios, and that a dpmd near hit pays no
+/// more from-scratch LUs than its basis moves call for.
 struct SweepTelemetry {
   std::uint64_t sparse_sweeps = 0;
   std::uint64_t dense_sweeps = 0;
   std::uint64_t touched_entries = 0;
   std::uint64_t block_sweeps = 0;   // sweeps routed through the dense block
   std::uint64_t block_entries = 0;  // block nonzeros those sweeps processed
+  std::uint64_t refactorizations = 0;  // from-scratch LU factorizations
 };
 SweepTelemetry sweep_telemetry() noexcept;
+
+namespace detail {
+class RevisedSimplex;
+}
+
+/// Opaque handle to a revised-simplex engine kept alive across the
+/// solves of one LP whose right-hand side moves between them (see
+/// RevisedSimplexOptions::retained).  It keeps the standard form built
+/// from the problem (columns, row mirror, bounds, artificial signs) and
+/// the engine's last factorization.  A solve through the handle
+/// reuses both when they are exactly what a new engine would build:
+///   * the standard form, unless the new rhs flips an artificial
+///     column's sign (rhs < 0) or moves the rhs of a row the bound
+///     absorption judged by its rhs (an empty or singleton row), or the
+///     solve is of another LpProblem object, or the problem's
+///     dimensions, upper bounds or structural options differ;
+///   * the LU, when it is a from-scratch factorization (no
+///     Forrest–Tomlin update since) of exactly the warm basis the solve
+///     installs — the LU refactorize() would rebuild, bit for bit.
+/// Every other piece of engine state (pricing rotation, duals, edge
+/// weights, bound flags, artificial caps) is reset to its value after
+/// construction, so a solve through the handle takes the same pivots
+/// and returns the same bits as one on a new engine.  The handle drops
+/// its engine after any solve whose outcome is not determined (a
+/// failure, an exception, an expired deadline).  Not thread-safe: one
+/// handle serves one caller at a time.
+class RetainedSimplex {
+ public:
+  RetainedSimplex() noexcept;
+  ~RetainedSimplex();
+  RetainedSimplex(const RetainedSimplex&) = delete;
+  RetainedSimplex& operator=(const RetainedSimplex&) = delete;
+
+  /// Drops the retained engine; the next solve builds a new one.
+  void reset() noexcept;
+
+ private:
+  friend struct RetainedAccess;  // revised_simplex.cpp
+  std::unique_ptr<detail::RevisedSimplex> engine_;
+};
 
 struct RevisedSimplexOptions {
   std::size_t max_iterations = 20000;
@@ -161,6 +204,13 @@ struct RevisedSimplexOptions {
   /// the full problem); a singular or malformed seed falls back to the
   /// ordinary cold start.  Ignored when a warm basis is supplied.
   const std::vector<std::size_t>* crash_columns = nullptr;
+  /// Optional retained engine (see RetainedSimplex), like `stats` a
+  /// caller-owned handle rather than a tuning option: the solve runs on
+  /// the handle's engine and leaves it there for the next solve of the
+  /// same LP.  Results are bitwise those of a solve without it.  Only
+  /// the full problem's own engine is retained — a presolve-reduced
+  /// solve and the perturbed degeneracy retries build their own.
+  RetainedSimplex* retained = nullptr;
 };
 
 /// Opaque warm-start handle: the basic column set over the solver's
@@ -173,6 +223,7 @@ struct SimplexBasis {
   std::vector<std::size_t> basic;  // one standard-form column per row
   std::vector<char> at_upper;      // per standard-form column bound flag
   bool empty() const noexcept { return basic.empty(); }
+  bool operator==(const SimplexBasis&) const = default;
 };
 
 /// Solves `problem` with the sparse revised simplex.

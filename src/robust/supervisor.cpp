@@ -156,8 +156,14 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
     return out;
   };
 
-  // The kPlain configuration, reused verbatim by the retry rung.
-  const auto plain = [&] {
+  // Only the plain rung may run on the caller's retained engine (the
+  // solver drops it after any undetermined solve); every later rung
+  // builds its own, as a solve without one would.
+  lp::RevisedSimplexOptions fresh = options_.lp;
+  fresh.retained = nullptr;
+
+  // The kPlain configuration, reused by the retry rung on a new engine.
+  const auto plain = [&](const lp::RevisedSimplexOptions& lp_options) {
     switch (options_.backend) {
       case lp::Backend::kInteriorPoint:
         return lp::solve_interior_point(problem);
@@ -166,13 +172,13 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
       case lp::Backend::kRevisedSimplex:
         break;
     }
-    return lp::solve_revised_simplex(problem, options_.lp, warm, basis_out);
+    return lp::solve_revised_simplex(problem, lp_options, warm, basis_out);
   };
 
   // Rung 1: as requested.  A non-default backend that fails lands on
   // the simplex ladder below — the IPM Cholesky-breakdown -> simplex
   // fallback path.
-  if (attempt(RecoveryRung::kPlain, plain)) {
+  if (attempt(RecoveryRung::kPlain, [&] { return plain(options_.lp); })) {
     return done();
   }
 
@@ -181,7 +187,7 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // re-solves along the identical pivot trajectory, so the recovered
   // answer — objective, vertex, iteration count — matches the
   // fault-free run bit-for-bit.
-  if (attempt(RecoveryRung::kRetryRefactorize, plain)) {
+  if (attempt(RecoveryRung::kRetryRefactorize, [&] { return plain(fresh); })) {
     return done();
   }
 
@@ -190,7 +196,7 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // unfactorable seeds of either kind) clears with a bit-identical
   // objective on success.
   const auto cold_opts = [&] {
-    lp::RevisedSimplexOptions opts = options_.lp;
+    lp::RevisedSimplexOptions opts = fresh;
     opts.crash_columns = nullptr;
     return opts;
   };

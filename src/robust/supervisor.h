@@ -4,7 +4,10 @@
 //
 // Ladder (see RecoveryRung in outcome.h):
 //   1. kPlain             — as requested: warm basis if provided,
-//                           presolve on.
+//                           presolve on, and the caller's retained
+//                           simplex engine if one is passed in the
+//                           options (lp::RetainedSimplex).  Later rungs
+//                           always build their own engine.
 //   2. kRetryRefactorize  — the same configuration again with every
 //                           factorization rebuilt; a transient fault
 //                           (consumed single-shot injection) re-solves

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dpm/evaluation.h"
+#include "lp/revised_simplex.h"
 #include "scenario/json.h"
 #include "scenario/registry.h"
 #include "serve/engine.h"
@@ -278,6 +279,75 @@ Scenario make_serve() {
                     static_cast<unsigned long long>(counters.cold_pivots),
                     moves,
                     static_cast<unsigned long long>(counters.repair_pivots));
+        }});
+
+    units.push_back(Unit{
+        "near-hit LU reuse: only a repair that moves the basis "
+        "refactorizes",
+        [smoke](UnitContext& ctx) {
+          // A session keeps its simplex engine and the fresh LU of its
+          // canonical basis: a repair that pivots zero times adopts that
+          // LU and already is the canonical answer (no LU at all); one
+          // that pivots pays only its canonical finish's in-place
+          // refactorization.  Bound moves and p0 shifts mix both kinds.
+          // The LU counts come from the process-wide odometer, exact only
+          // when nothing else solves concurrently — verify.sh
+          // --perf-smoke runs this scenario alone at --jobs 1 and gates
+          // on the printed line; no record depends on them.
+          const std::size_t moves = smoke ? 24 : 60;
+          Request r;
+          r.op = serve::Op::kOptimize;
+          r.model = serve::fleet_model_spec(0, /*queue_capacity=*/3);
+          r.discount = 0.99;
+          r.objective = "power";
+          serve::ConstraintSpec queue;
+          queue.metric = "queue_length";
+          queue.bound = 1.0;
+          r.constraints.push_back(queue);
+          const std::size_t n = r.model->compose().num_states();
+          r.initial.assign(n, 1.0 / static_cast<double>(n));
+
+          PolicyEngine engine(EngineOptions{});
+          engine.handle_line(format_request(r));
+          std::size_t still = 0, moved = 0;
+          std::uint64_t still_lus = 0, moved_lus = 0;
+          for (std::size_t k = 1; k <= moves; ++k) {
+            r.id = "lu" + std::to_string(k);
+            if (k % 3 == 0) {
+              // Shift p0's mass around the state space.
+              double mass = 0.0;
+              for (std::size_t j = 0; j < n; ++j) {
+                r.initial[j] = static_cast<double>((j * k + k / 3) % 4 + j % 2);
+                mass += r.initial[j];
+              }
+              for (double& p : r.initial) p /= mass;
+            } else {
+              r.constraints[0].bound =
+                  0.8 + 0.05 * static_cast<double>((7 * k) % 13);
+            }
+            const EngineCounters before = engine.counters();
+            const std::uint64_t lus0 = lp::sweep_telemetry().refactorizations;
+            const std::string response = engine.handle_line(format_request(r));
+            const std::uint64_t lus =
+                lp::sweep_telemetry().refactorizations - lus0;
+            const EngineCounters after = engine.counters();
+            ctx.check(response.find("\"feasible\":true") != std::string::npos,
+                      "LU reuse request infeasible: " + response);
+            if (after.near_hits != before.near_hits + 1) continue;
+            if (after.repair_pivots == before.repair_pivots) {
+              ++still;
+              still_lus += lus;
+            } else {
+              ++moved;
+              moved_lus += lus;
+            }
+          }
+          ctx.check(still > 0 && moved > 0,
+                    "the walk must mix zero-pivot and pivoting repairs");
+          ctx.linef("  near-hit refactorizations: zero_pivot=%zu lus=%llu "
+                    "pivoting=%zu lus=%llu",
+                    still, static_cast<unsigned long long>(still_lus), moved,
+                    static_cast<unsigned long long>(moved_lus));
         }});
 
     units.push_back(Unit{

@@ -117,6 +117,16 @@ std::uint64_t outcome_pivots(const robust::SolveOutcome& outcome) {
   return outcome.steps.empty() ? 0 : outcome.steps.back().iterations;
 }
 
+// True when the determining rung ran the kPlain configuration — the
+// plain rung itself, or the retry rung that repeats it on a new engine
+// — i.e. the configuration the canonical finish solves in.
+bool replays_canonical_finish(const robust::SolveOutcome& outcome) {
+  if (outcome.steps.empty()) return false;
+  const robust::RecoveryRung rung = outcome.steps.back().rung;
+  return rung == robust::RecoveryRung::kPlain ||
+         rung == robust::RecoveryRung::kRetryRefactorize;
+}
+
 /// Validates a wire initial distribution against the model and returns
 /// the effective p0 (uniform when empty).
 linalg::Vector resolve_initial(const SystemModel& model,
@@ -161,10 +171,11 @@ EngineCounters serve_telemetry() noexcept {
 }
 
 /// One registered model structure: the composed model, its LP (rhs
-/// mutated per request), the crash seed, and the last optimal basis the
-/// next near-hit warm-starts from.  Heap-allocated so the metric
-/// closures and the optimizer's model pointer stay valid for the
-/// session's lifetime.
+/// mutated per request), the crash seed, the last optimal basis the
+/// next near-hit warm-starts from, and the simplex engine kept for this
+/// LP (its standard form and the fresh LU of `basis`).  Heap-allocated
+/// so the metric closures, the optimizer's model pointer and the LP the
+/// retained engine is bound to stay put for the session's lifetime.
 struct PolicyEngine::Session {
   SystemModel model;
   double discount = 0.0;
@@ -175,6 +186,7 @@ struct PolicyEngine::Session {
   lp::LpProblem lp;
   std::vector<std::size_t> crash_cols;  // empty below kCrashMinColumns
   lp::SimplexBasis basis;               // last optimal basis
+  lp::RetainedSimplex simplex;          // engine kept across requests
   std::uint64_t structural = 0;
   std::uint64_t lru = 0;  // engine session_clock_ at last use
 
@@ -583,6 +595,7 @@ std::string PolicyEngine::solve_in_session(Session& session,
 
   const bool warm = !session.basis.empty();
   robust::SupervisorOptions opts;
+  opts.lp.retained = &session.simplex;
   if (!warm && !session.crash_cols.empty()) {
     opts.lp.crash_columns = &session.crash_cols;
   }
@@ -594,14 +607,25 @@ std::string PolicyEngine::solve_in_session(Session& session,
       session.lp, warm ? &session.basis : nullptr, &basis_out);
   std::uint64_t pivots = outcome_pivots(outcome);
 
-  if (outcome.determined() &&
-      outcome.solution.status == lp::LpStatus::kOptimal) {
+  const bool optimal = outcome.determined() &&
+                       outcome.solution.status == lp::LpStatus::kOptimal;
+  if (optimal && warm && replays_canonical_finish(outcome) &&
+      basis_out == session.basis) {
+    // The repair left the basis where it started.  The canonical finish
+    // below would be a warm solve from basis_out == session.basis in the
+    // configuration this solve just ran — the same computation — so this
+    // answer already is the canonical one, bit for bit, and the finish's
+    // pivot count would repeat this solve's.
+    pivots += pivots;
+  } else if (optimal) {
     // Canonical finish: recompute the solution from a fresh
     // factorization of the optimal basis (a zero-pivot warm re-solve),
     // so the reported numbers depend only on (LP, optimal basis) — a
     // warm repair and a cold solve landing on the same vertex answer
-    // with identical bytes.
+    // with identical bytes.  It runs on the session's engine: the
+    // standard form is reused and the basis refactorized in place.
     robust::SupervisorOptions certify_opts;
+    certify_opts.lp.retained = &session.simplex;
     const robust::SolveSupervisor certifier(certify_opts);
     lp::SimplexBasis certified_basis;
     robust::SolveOutcome certified =

@@ -10,8 +10,9 @@
 //   * exact hit  — the full request key (protocol.h) matches a cached
 //     response: replay the recorded bytes, zero simplex pivots;
 //   * near hit   — the structural key matches a live session: reuse its
-//     LP and warm-start the boxed dual simplex from the session's last
-//     optimal basis (the 303-vs-10480-pivot economics of PR 4);
+//     LP and its simplex engine, and warm-start the boxed dual simplex
+//     from the session's last optimal basis (the 303-vs-10480-pivot
+//     economics of PR 4);
 //   * cold solve — first sighting of a structure: build the LP once,
 //     solve from scratch (policy-iteration crash basis at >= 4096
 //     columns, mirroring PolicyOptimizer), register the session.
@@ -23,6 +24,27 @@
 // then a pure function of (LP, optimal basis), so a warm-started repair
 // and a cold solve that reach the same vertex answer with identical
 // bytes, and a cached replay is indistinguishable from a recompute.
+//
+// What a session retains (lp::RetainedSimplex): besides the LP and the
+// canonical basis, the revised-simplex engine built for the LP — its
+// standard form (columns, row mirror, bounds, artificial signs) — and
+// that engine's last LU, which after a canonical finish is the fresh
+// factorization of the session basis.  A near hit copies the new rhs
+// in O(m), installs the session basis and adopts that LU without
+// refactorizing (it is bit for bit what a refactorization would
+// rebuild).  When the repair then leaves the basis and its bound flags
+// unchanged, the canonical finish would be a warm solve from that same
+// basis in the same configuration — the computation just run — so the
+// repair's answer is returned as canonical with no second solve.  When
+// it pivoted, the finish refactorizes in place on the same engine.
+// Every other piece of engine state is reset between solves, so the
+// bytes, pivots and saved bases are those of a new engine per solve.
+// The engine is rebuilt when a new rhs would change its standard form
+// (an artificial column's sign, a row the bound absorption judged by
+// its rhs) and dropped after any undetermined solve (failure, deadline,
+// injected fault) and with the session on LRU eviction.  Cost: about
+// 0.5 MB more per session for the 256-state, 512-column benchmark
+// design, about 18 MB for a 16k-state model (mostly its LU).
 //
 // All solves run under robust::SolveSupervisor with an optional
 // cooperative per-request deadline: a poisoned or over-budget request
@@ -66,11 +88,12 @@ struct EngineOptions {
   /// flood.  0 disables shedding (unbounded).
   std::size_t max_inflight = 64;
   /// LRU bound on live sessions (the near-hit warm-start state: one
-  /// built LP + optimal basis per model structure).  Inserting past the
-  /// cap evicts the least-recently-used session; the next request for
-  /// an evicted structure pays a cold solve whose response bytes are
-  /// identical to the original cold solve (the canonical-finish
-  /// invariant).  0 disables eviction (unbounded).
+  /// built LP, optimal basis and retained simplex engine per model
+  /// structure).  Inserting past the cap evicts the least-recently-used
+  /// session; the next request for an evicted structure pays a cold
+  /// solve whose response bytes are identical to the original cold
+  /// solve (the canonical-finish invariant).  0 disables eviction
+  /// (unbounded).
   std::size_t max_sessions = 256;
 };
 

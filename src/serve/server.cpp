@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -166,6 +167,12 @@ void PolicyServer::accept_loop() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Responses are small and written one per request: with Nagle on,
+    // a response written while the previous one is still unacknowledged
+    // waits for the client's delayed ACK (tens of ms) whenever requests
+    // arrive pipelined on one connection.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::lock_guard<std::mutex> lock(workers_mutex_);
     if (stopping_.load()) {
       ::close(fd);

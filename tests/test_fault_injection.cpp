@@ -21,7 +21,9 @@
 //    worker degrades to a typed {"status":"failed"} response and the
 //    worker's next answer is byte-identical to an uninjected run; a
 //    kCacheLine-poisoned response cache recomputes instead of
-//    replaying garbage.
+//    replaying garbage; a corrupted warm basis or a deadline expiring
+//    mid-repair on a session's retained simplex engine leaves the
+//    session's next near hits byte-identical to an uninjected run.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -606,6 +608,102 @@ TEST(ServeFaults, PoisonedResponseCacheRecomputesByteIdentically) {
   EXPECT_EQ(again, first);
   EXPECT_EQ(reload.counters().exact_hits, 0u);  // recomputed, not replayed
   EXPECT_EQ(reload.counters().cold_solves, 1u);
+}
+
+// A design whose near hits run on the session's retained simplex
+// engine: one registration, then queue-bound moves.
+std::string near_hit_line(double queue_bound, const std::string& id) {
+  serve::Request r;
+  r.id = id;
+  r.op = serve::Op::kOptimize;
+  r.model = serve::fleet_model_spec(0, /*queue_capacity=*/3);
+  r.discount = 0.99;
+  r.objective = "power";
+  serve::ConstraintSpec queue;
+  queue.metric = "queue_length";
+  queue.bound = queue_bound;
+  r.constraints.push_back(queue);
+  return serve::format_request(r);
+}
+
+// The uninjected answers to: register at 1.3, a repair that pivots at
+// least twice (found by scanning bounds on clean engines), then one
+// more near hit.
+struct NearHitScript {
+  std::vector<std::string> lines;
+  std::vector<std::string> want;
+};
+
+NearHitScript near_hit_script() {
+  serve::EngineOptions opts;
+  opts.cache = false;
+  NearHitScript script;
+  script.lines = {near_hit_line(1.3, "register"), "",
+                  near_hit_line(1.2, "after")};
+  for (double bound = 1.0; bound > 0.4 && script.want.empty();
+       bound -= 0.05) {
+    serve::PolicyEngine clean(opts);
+    const std::string registered = clean.handle_line(script.lines[0]);
+    script.lines[1] = near_hit_line(bound, "repair");
+    const std::string repaired = clean.handle_line(script.lines[1]);
+    if (clean.counters().repair_pivots >= 2) {
+      script.want = {registered, repaired,
+                     clean.handle_line(script.lines[2])};
+    }
+  }
+  return script;
+}
+
+// The warm-basis probe fires on the plain rung of a near hit: the
+// solver drops the session's retained engine, the retry rung re-reads
+// the pristine session basis on a new engine, and the recovered
+// answer and the next near hit match the uninjected bytes.
+TEST(ServeFaults, CorruptedWarmBasisOnARetainedEngineRecoversBitwise) {
+  const NearHitScript script = near_hit_script();
+  ASSERT_EQ(script.want.size(), 3u) << "no pivoting repair found";
+  serve::EngineOptions opts;
+  opts.cache = false;
+  serve::PolicyEngine engine(opts);
+  EXPECT_EQ(engine.handle_line(script.lines[0]), script.want[0]);
+  {
+    FaultPlan plan;
+    plan.site = FaultSite::kWarmBasis;
+    plan.fire_at = 1;
+    FaultScope scope(plan);
+    EXPECT_EQ(engine.handle_line(script.lines[1]), script.want[1]);
+    EXPECT_EQ(scope.fired(), 1u);
+  }
+  EXPECT_EQ(engine.handle_line(script.lines[2]), script.want[2]);
+  EXPECT_EQ(engine.counters().failures, 0u);
+  EXPECT_EQ(engine.counters().near_hits, 2u);
+}
+
+// A deadline expiring after the first dual pivot of a repair: a typed
+// failure, the retained engine is dropped mid-repair, and the session
+// basis is untouched — the same repair retried, and the near hit after
+// it, answer with the uninjected bytes.
+TEST(ServeFaults, DeadlineMidRepairLeavesTheSessionByteIdentical) {
+  const NearHitScript script = near_hit_script();
+  ASSERT_EQ(script.want.size(), 3u) << "no pivoting repair found";
+  serve::EngineOptions opts;
+  opts.cache = false;
+  serve::PolicyEngine engine(opts);
+  EXPECT_EQ(engine.handle_line(script.lines[0]), script.want[0]);
+  {
+    FaultPlan plan;
+    plan.site = FaultSite::kDeadline;
+    plan.fire_at = 2;  // the pivot loop's second deadline check
+    FaultScope scope(plan);
+    const std::string failed = engine.handle_line(script.lines[1]);
+    EXPECT_NE(failed.find("\"status\":\"failed\""), std::string::npos)
+        << failed;
+    EXPECT_NE(failed.find("deadline-expired"), std::string::npos) << failed;
+    EXPECT_EQ(scope.fired(), 1u);
+  }
+  EXPECT_EQ(engine.counters().failures, 1u);
+  EXPECT_EQ(engine.handle_line(script.lines[1]), script.want[1]);
+  EXPECT_EQ(engine.handle_line(script.lines[2]), script.want[2]);
+  EXPECT_EQ(engine.counters().near_hits, 2u);
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // Unit and property tests for the LP solvers (simplex and interior
-// point).
+// point), plus the retained revised-simplex engine's session loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
+#include "dpm/metrics.h"
+#include "dpm/optimizer.h"
+#include "lp/revised_simplex.h"
 #include "lp/solver.h"
+#include "robust/supervisor.h"
+#include "serve/fleet.h"
 
 namespace dpm::lp {
 namespace {
@@ -245,6 +251,263 @@ TEST_P(SolverAgreementTest, SimplexMatchesInteriorPoint) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SolverAgreementTest,
                          ::testing::Range(0, 25));
+
+// --- retained engine: the dpmd session loop ----------------------------
+//
+// A session serves a stream of rhs points of one LP.  The reference is
+// a new engine per solve: a supervised solve warm-started from the
+// session basis, then a supervised canonical finish from its basis.
+// The retained loop is what PolicyEngine runs: both solves on the
+// session's retained engine, the finish skipped when the repair left
+// the basis where it started.  Every point must agree bit for bit.
+
+struct Served {
+  bool determined = false;
+  LpSolution solution;
+  std::uint64_t pivots = 0;  // determining-rung iterations, both solves
+};
+
+std::uint64_t rung_pivots(const robust::SolveOutcome& outcome) {
+  return outcome.steps.empty() ? 0 : outcome.steps.back().iterations;
+}
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+Served serve_point(const LpProblem& lp, SimplexBasis& basis,
+                   RetainedSimplex* retained) {
+  robust::SupervisorOptions options;
+  options.lp.retained = retained;
+  const robust::SolveSupervisor supervisor(options);
+  const bool warm = !basis.empty();
+  SimplexBasis working;
+  robust::SolveOutcome outcome =
+      supervisor.solve(lp, warm ? &basis : nullptr, &working);
+  Served served;
+  served.pivots = rung_pivots(outcome);
+  if (outcome.determined() &&
+      outcome.solution.status == LpStatus::kOptimal) {
+    const robust::RecoveryRung rung = outcome.steps.back().rung;
+    if (retained != nullptr && warm &&
+        (rung == robust::RecoveryRung::kPlain ||
+         rung == robust::RecoveryRung::kRetryRefactorize) &&
+        working == basis) {
+      served.pivots *= 2;  // the finish would repeat this very solve
+    } else {
+      SimplexBasis canonical;
+      outcome = supervisor.solve(lp, &working, &canonical);
+      served.pivots += rung_pivots(outcome);
+      working = std::move(canonical);
+    }
+  }
+  served.determined = outcome.determined();
+  served.solution = outcome.solution;
+  if (served.determined && served.solution.status == LpStatus::kOptimal) {
+    basis = std::move(working);
+  }
+  return served;
+}
+
+TEST(RetainedSimplex, SessionLoopMatchesNewEnginesBitwise) {
+  // A small fleet MDP LP: balance rows (p0), a queue bound, a "ge"
+  // throughput floor stored negated (its rhs crosses zero), plus an
+  // empty row and a singleton row whose absorption depends on the rhs.
+  const SystemModel model = serve::fleet_model_spec(1, 3).compose();
+  OptimizerConfig config;
+  config.discount = 0.99;
+  const PolicyOptimizer optimizer(model, config);
+  const StateActionMetric throughput = metrics::throughput(model);
+  std::vector<OptimizationConstraint> constraints(2);
+  constraints[0].metric = metrics::queue_length(model);
+  constraints[0].per_step_bound = 0.6;
+  constraints[1].metric = [throughput](std::size_t s, std::size_t a) {
+    return -throughput(s, a);
+  };
+  constraints[1].per_step_bound = 0.0;
+  LpProblem lp = optimizer.build_lp(metrics::power(model), constraints);
+  const std::size_t n = model.num_states();
+  const double horizon = 1.0 / (1.0 - config.discount);
+  const std::size_t queue_row = n;
+  const std::size_t floor_row = n + 1;
+  const std::size_t empty_row = lp.num_constraints();
+  lp.add_constraint({{}, Sense::kLe, 1.0, "empty"});
+  const std::size_t singleton_row = lp.num_constraints();
+  lp.add_constraint({{{0, 1.0}}, Sense::kLe, horizon, "cap-x0"});
+
+  std::mt19937_64 rng(20240515);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto set_p0 = [&](bool sparse) {
+    linalg::Vector p0(n, 0.0);
+    double mass = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (sparse && unit(rng) < 0.6) continue;  // zero entries
+      p0[j] = 0.05 + unit(rng);
+      mass += p0[j];
+    }
+    if (mass == 0.0) {
+      p0[0] = 1.0;
+      mass = 1.0;
+    }
+    for (std::size_t j = 0; j < n; ++j) lp.set_rhs(j, p0[j] / mass);
+  };
+  set_p0(false);
+
+  SimplexBasis fresh_basis, kept_basis;
+  RetainedSimplex engine;
+  std::size_t skipped = 0, pivoting = 0, infeasible_then_feasible = 0;
+  std::size_t floor_sign_flips = 0, evictions = 0;
+  bool last_infeasible = false;
+  double last_floor = 0.0;
+  std::uint64_t fresh_refactors = 0, kept_refactors = 0;
+  for (int step = 0; step < 160; ++step) {
+    const double r = unit(rng);
+    if (r < 0.04) {
+      // LRU eviction, then re-registration: both sessions start over.
+      engine.reset();
+      fresh_basis = SimplexBasis{};
+      kept_basis = SimplexBasis{};
+      ++evictions;
+    } else if (r < 0.2) {
+      set_p0(unit(rng) < 0.7);
+    } else if (r < 0.3) {
+      const double floor = 0.04 * unit(rng) - 0.02;  // crosses zero
+      if ((floor > 0.0) != (last_floor > 0.0)) ++floor_sign_flips;
+      last_floor = floor;
+      lp.set_rhs(floor_row, -floor * horizon);
+    } else if (r < 0.36) {
+      const double pick = unit(rng);
+      lp.set_rhs(empty_row, pick < 0.2 ? -1.0 : pick < 0.5 ? 0.0 : 2.0);
+    } else if (r < 0.44) {
+      const double pick = unit(rng);
+      lp.set_rhs(singleton_row,
+                 pick < 0.1 ? -1.0 : (pick < 0.5 ? 0.3 : 1.0) * horizon);
+    } else {
+      // A bound move; now and then one no policy meets.
+      const double pick = unit(rng);
+      const double bound = pick < 0.08 ? 0.02 : 0.6 + 0.8 * unit(rng);
+      lp.set_rhs(queue_row, bound * horizon);
+    }
+
+    const std::uint64_t r0 = sweep_telemetry().refactorizations;
+    const Served want = serve_point(lp, fresh_basis, nullptr);
+    const std::uint64_t r1 = sweep_telemetry().refactorizations;
+    const bool warm = !kept_basis.empty();
+    const SimplexBasis before = kept_basis;
+    const Served got = serve_point(lp, kept_basis, &engine);
+    const std::uint64_t r2 = sweep_telemetry().refactorizations;
+    fresh_refactors += r1 - r0;
+    kept_refactors += r2 - r1;
+
+    ASSERT_EQ(got.determined, want.determined) << "step " << step;
+    ASSERT_EQ(got.solution.status, want.solution.status) << "step " << step;
+    ASSERT_EQ(got.pivots, want.pivots) << "step " << step;
+    ASSERT_TRUE(kept_basis == fresh_basis) << "step " << step;
+    if (want.solution.status == LpStatus::kOptimal) {
+      ASSERT_EQ(std::memcmp(&got.solution.objective, &want.solution.objective,
+                            sizeof(double)),
+                0)
+          << "step " << step;
+      ASSERT_TRUE(same_bits(got.solution.x, want.solution.x))
+          << "step " << step;
+      ASSERT_TRUE(same_bits(got.solution.duals, want.solution.duals))
+          << "step " << step;
+      if (warm && kept_basis == before) {
+        ++skipped;
+      } else if (warm) {
+        ++pivoting;
+      }
+      if (last_infeasible) ++infeasible_then_feasible;
+    }
+    last_infeasible = want.solution.status == LpStatus::kInfeasible;
+  }
+  // The walk reached every case it is meant to cover.
+  EXPECT_GT(skipped, 20u);
+  EXPECT_GT(pivoting, 10u);
+  EXPECT_GT(infeasible_then_feasible, 5u);
+  EXPECT_GT(floor_sign_flips, 3u);
+  EXPECT_GT(evictions, 2u);
+  // ...and the retained engine saved from-scratch LUs doing it.
+  EXPECT_LT(2 * kept_refactors, fresh_refactors);
+}
+
+// Direct solves through one handle, cold and warm from assorted bases
+// of earlier points, against a new engine per solve.  The LP has more
+// columns than a partial-pricing section, so the pricing rotation
+// matters; the throughput floor's negated rhs crosses zero, so cold
+// phase 1 runs with either artificial sign; and warm starts from bases
+// other than the one the engine's LU was built for must refactorize.
+TEST(RetainedSimplex, ReusedEngineSolvesLikeANewOne) {
+  const SystemModel model = serve::fleet_model_spec(2, 32).compose();
+  OptimizerConfig config;
+  config.discount = 0.99;
+  const PolicyOptimizer optimizer(model, config);
+  const StateActionMetric throughput = metrics::throughput(model);
+  std::vector<OptimizationConstraint> constraints(2);
+  constraints[0].metric = metrics::queue_length(model);
+  constraints[1].metric = [throughput](std::size_t s, std::size_t a) {
+    return -throughput(s, a);
+  };
+  LpProblem lp = optimizer.build_lp(metrics::power(model), constraints);
+  ASSERT_GT(lp.num_variables(), 256u);
+  const std::size_t n = model.num_states();
+  const double horizon = 1.0 / (1.0 - config.discount);
+
+  RevisedSimplexOptions fresh;
+  fresh.presolve = false;
+  RetainedSimplex handle;
+  RevisedSimplexOptions kept = fresh;
+  kept.retained = &handle;
+
+  const auto expect_same = [&](const SimplexBasis* warm, const char* what,
+                               int step, SimplexBasis* out) {
+    SimplexBasis want_basis;
+    const LpSolution want = solve_revised_simplex(lp, fresh, warm, &want_basis);
+    const LpSolution got = solve_revised_simplex(lp, kept, warm, out);
+    EXPECT_EQ(got.status, want.status) << what << " step " << step;
+    EXPECT_EQ(got.iterations, want.iterations) << what << " step " << step;
+    if (want.status != LpStatus::kOptimal) return false;
+    EXPECT_EQ(std::memcmp(&got.objective, &want.objective, sizeof(double)),
+              0)
+        << what << " step " << step;
+    EXPECT_TRUE(same_bits(got.x, want.x)) << what << " step " << step;
+    EXPECT_TRUE(same_bits(got.duals, want.duals)) << what << " step " << step;
+    EXPECT_TRUE(*out == want_basis) << what << " step " << step;
+    return true;
+  };
+
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<SimplexBasis> seen;
+  std::size_t optimal = 0;
+  for (int step = 0; step < 12; ++step) {
+    double mass = 0.0;
+    linalg::Vector p0(n, 0.0);
+    for (double& p : p0) {
+      p = step % 2 == 0 && unit(rng) < 0.5 ? 0.0 : 0.1 + unit(rng);
+      mass += p;
+    }
+    for (std::size_t j = 0; j < n; ++j) lp.set_rhs(j, p0[j] / mass);
+    lp.set_rhs(n, (12.0 + 16.0 * unit(rng)) * horizon);
+    lp.set_rhs(n + 1, -(step % 3 == 0 ? -0.01 : 0.01 * unit(rng)) * horizon);
+
+    SimplexBasis cold;
+    if (!expect_same(nullptr, "cold", step, &cold)) continue;
+    ++optimal;
+    SimplexBasis scratch;
+    if (!seen.empty()) {
+      expect_same(&seen.back(), "warm from the last point", step, &scratch);
+      expect_same(&seen[seen.size() / 2], "warm from an older point", step,
+                  &scratch);
+    }
+    expect_same(&cold, "warm from its own optimum", step, &scratch);
+    expect_same(&cold, "the same again", step, &scratch);
+    seen.push_back(cold);
+  }
+  EXPECT_GT(optimal, 8u);
+}
 
 }  // namespace
 }  // namespace dpm::lp

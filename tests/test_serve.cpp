@@ -7,18 +7,26 @@
 //     ingredient changes its key, and structurally identical requests
 //     written in different field orders share one;
 //   * the exact-hit tier replays byte-identical responses with zero
-//     additional simplex pivots.
+//     additional simplex pivots;
+//   * a session's retained simplex engine serves the bytes, pivots and
+//     bases of a new engine per solve, and refactorizes only when a
+//     near hit moves the basis.
 //
 // The multi-client admission/batching contracts live in
 // test_serve_concurrency.cpp; injected-fault behaviour in
 // test_fault_injection.cpp.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "dpm/optimizer.h"
+#include "lp/revised_simplex.h"
+#include "robust/supervisor.h"
 #include "scenario/json.h"
 #include "serve/engine.h"
 #include "serve/fleet.h"
@@ -535,6 +543,293 @@ TEST(ServeEngine, StatsAndShutdownAreServed) {
   const std::string bye = engine.handle_line(R"({"id":"q","op":"shutdown"})");
   EXPECT_NE(bye.find("\"status\":\"ok\""), std::string::npos) << bye;
   EXPECT_TRUE(engine.shutdown_requested());
+}
+
+// --- retained simplex engine -----------------------------------------
+
+// The serving path as it was before sessions kept their engine: a
+// supervised solve on a new engine, warm from the session basis, then a
+// supervised canonical finish on another new engine.  Mirrors the
+// engine's session table (LRU bound included) and response bodies.
+class NewEnginePerSolve {
+ public:
+  explicit NewEnginePerSolve(std::size_t max_sessions)
+      : max_sessions_(max_sessions) {}
+
+  struct Answer {
+    std::string response;
+    bool near_hit = false;
+    std::uint64_t pivots = 0;
+  };
+
+  Answer serve(const std::string& line) {
+    const Request req = serve::parse_request(line);
+    SystemModel model = req.model->compose();
+    const std::uint64_t key = serve::structural_request_key(
+        model, req.discount, req.objective, req.constraints);
+    auto it = sessions_.find(key);
+    if (it == sessions_.end()) {
+      if (sessions_.size() >= max_sessions_) {
+        auto stalest = sessions_.begin();
+        for (auto s = sessions_.begin(); s != sessions_.end(); ++s) {
+          if (s->second->lru < stalest->second->lru) stalest = s;
+        }
+        sessions_.erase(stalest);
+      }
+      it = sessions_.emplace(key, std::make_unique<Session>(std::move(model),
+                                                            req))
+               .first;
+    }
+    Session& s = *it->second;
+    s.lru = ++clock_;
+    const std::size_t n = s.model.num_states();
+    const double horizon = 1.0 / (1.0 - req.discount);
+    for (std::size_t j = 0; j < n; ++j) s.lp.set_rhs(j, req.initial[j]);
+    for (std::size_t k = 0; k < req.constraints.size(); ++k) {
+      const ConstraintSpec& c = req.constraints[k];
+      s.lp.set_rhs(n + k, (c.lower_bound ? -c.bound : c.bound) * horizon);
+    }
+
+    Answer answer;
+    answer.near_hit = !s.basis.empty();
+    const robust::SolveSupervisor supervisor{robust::SupervisorOptions{}};
+    lp::SimplexBasis working;
+    robust::SolveOutcome outcome = supervisor.solve(
+        s.lp, answer.near_hit ? &s.basis : nullptr, &working);
+    answer.pivots = pivots_of(outcome);
+    if (outcome.determined() &&
+        outcome.solution.status == lp::LpStatus::kOptimal) {
+      lp::SimplexBasis canonical;
+      outcome = supervisor.solve(s.lp, &working, &canonical);
+      answer.pivots += pivots_of(outcome);
+      working = std::move(canonical);
+    }
+    EXPECT_TRUE(outcome.determined());
+    JsonValue o = JsonValue::object();
+    o.set("status", JsonValue::string("ok"));
+    if (outcome.solution.status != lp::LpStatus::kOptimal) {
+      o.set("feasible", JsonValue::boolean(false));
+      o.set("lp_status",
+            JsonValue::string(lp::to_string(outcome.solution.status)));
+      o.set("model_ref", JsonValue::string(serve::key_to_hex(key)));
+    } else {
+      s.basis = std::move(working);
+      const double scale = 1.0 - req.discount;
+      const linalg::Vector& x = outcome.solution.x;
+      const std::size_t na = s.model.num_commands();
+      o.set("feasible", JsonValue::boolean(true));
+      o.set("model_ref", JsonValue::string(serve::key_to_hex(key)));
+      o.set("objective", JsonValue::string(req.objective));
+      o.set("objective_per_step",
+            JsonValue::number(scale * outcome.solution.objective));
+      JsonValue achieved = JsonValue::array();
+      for (std::size_t k = 0; k < s.constraints.size(); ++k) {
+        double total = 0.0;
+        for (std::size_t col = 0; col < x.size(); ++col) {
+          if (x[col] != 0.0) {
+            total += s.constraints[k].metric(col / na, col % na) * x[col];
+          }
+        }
+        const double value = scale * total;
+        achieved.push_back(JsonValue::number(
+            req.constraints[k].lower_bound ? -value : value));
+      }
+      o.set("constraint_per_step", std::move(achieved));
+    }
+    answer.response = serve::compose_response(req.id, o.dump());
+    return answer;
+  }
+
+ private:
+  struct Session {
+    SystemModel model;
+    std::unique_ptr<PolicyOptimizer> optimizer;
+    std::vector<OptimizationConstraint> constraints;
+    lp::LpProblem lp;
+    lp::SimplexBasis basis;
+    std::uint64_t lru = 0;
+
+    Session(SystemModel m, const Request& req) : model(std::move(m)) {
+      OptimizerConfig config;
+      config.discount = req.discount;
+      optimizer = std::make_unique<PolicyOptimizer>(model, config);
+      for (const ConstraintSpec& spec : req.constraints) {
+        const StateActionMetric metric =
+            serve::metric_by_name(model, spec.metric);
+        OptimizationConstraint oc;
+        oc.metric = spec.lower_bound
+                        ? StateActionMetric([metric](std::size_t st,
+                                                     std::size_t a) {
+                            return -metric(st, a);
+                          })
+                        : metric;
+        constraints.push_back(std::move(oc));
+      }
+      lp = optimizer->build_lp(serve::metric_by_name(model, req.objective),
+                               constraints);
+    }
+  };
+
+  static std::uint64_t pivots_of(const robust::SolveOutcome& outcome) {
+    return outcome.steps.empty() ? 0 : outcome.steps.back().iterations;
+  }
+
+  std::size_t max_sessions_;
+  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(ServeEngine, RetainedEngineServesNewEngineBytesOnARandomWalk) {
+  // Three designs through a two-session engine (evictions, then
+  // re-registration), each request a random step: a moved queue bound
+  // (now and then one no policy meets), a "ge" throughput floor whose
+  // negated rhs crosses zero, or a new p0 with zero entries.
+  EngineOptions opts;
+  opts.cache = false;  // every request solves
+  opts.max_sessions = 2;
+  PolicyEngine engine(opts);
+  NewEnginePerSolve reference(opts.max_sessions);
+
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<Request> designs(3);
+  for (std::size_t v = 0; v < designs.size(); ++v) {
+    Request& r = designs[v];
+    r.op = Op::kOptimize;
+    r.model = serve::fleet_model_spec(v, /*queue_capacity=*/3);
+    r.discount = 0.99;
+    r.objective = "power";
+    ConstraintSpec queue;
+    queue.metric = "queue_length";
+    queue.bound = 1.0;
+    ConstraintSpec floor;
+    floor.metric = "throughput";
+    floor.lower_bound = true;
+    floor.bound = 0.0;
+    r.constraints = {queue, floor};
+    const std::size_t n = r.model->compose().num_states();
+    r.initial.assign(n, 1.0 / static_cast<double>(n));
+  }
+
+  std::size_t v = 0;
+  std::size_t near = 0, pivoting = 0, infeasible = 0, recovered = 0;
+  std::size_t floor_flips = 0;
+  bool last_infeasible = false;
+  for (int step = 0; step < 150; ++step) {
+    if (unit(rng) < 0.12) v = (v + 1 + (unit(rng) < 0.5 ? 1 : 0)) % 3;
+    Request& r = designs[v];
+    const double move = unit(rng);
+    if (move < 0.2) {
+      std::vector<double>& p0 = r.initial;
+      double mass = 0.0;
+      for (double& p : p0) {
+        p = unit(rng) < 0.5 ? 0.0 : 0.1 + unit(rng);
+        mass += p;
+      }
+      if (mass == 0.0) {
+        p0[0] = 1.0;
+        mass = 1.0;
+      }
+      for (double& p : p0) p /= mass;
+    } else if (move < 0.4) {
+      const double floor = 0.04 * unit(rng) - 0.02;
+      if ((floor > 0.0) != (r.constraints[1].bound > 0.0)) ++floor_flips;
+      r.constraints[1].bound = floor;
+    } else {
+      r.constraints[0].bound =
+          unit(rng) < 0.08 ? 0.01 : 0.7 + 0.8 * unit(rng);
+    }
+    r.id = "s" + std::to_string(step);
+    const std::string line = serve::format_request(r);
+
+    const EngineCounters before = engine.counters();
+    const std::string got = engine.handle_line(line);
+    const EngineCounters after = engine.counters();
+    const NewEnginePerSolve::Answer want = reference.serve(line);
+    ASSERT_EQ(got, want.response) << "step " << step;
+    ASSERT_EQ(after.near_hits - before.near_hits, want.near_hit ? 1u : 0u)
+        << "step " << step;
+    ASSERT_EQ(after.repair_pivots + after.cold_pivots -
+                  before.repair_pivots - before.cold_pivots,
+              want.pivots)
+        << "step " << step;
+
+    const bool now_infeasible =
+        got.find("\"feasible\":false") != std::string::npos;
+    if (want.near_hit) ++near;
+    if (want.near_hit && want.pivots > 0 && !now_infeasible) ++pivoting;
+    if (now_infeasible) ++infeasible;
+    if (last_infeasible && !now_infeasible) ++recovered;
+    last_infeasible = now_infeasible;
+  }
+  EXPECT_GT(engine.counters().session_evictions, 2u);
+  EXPECT_GT(near, 80u);
+  EXPECT_GT(pivoting, 5u);
+  EXPECT_GT(infeasible, 3u);
+  EXPECT_GT(recovered, 3u);
+  EXPECT_GT(floor_flips, 3u);
+}
+
+TEST(ServeEngine, NearHitRefactorizesOnlyWhenTheBasisMoves) {
+  // The session keeps the fresh LU of its canonical basis: a near hit
+  // that pivots zero times adopts it and returns as the canonical
+  // answer (no LU at all); one that pivots pays exactly the in-place
+  // refactorization of its canonical finish.
+  PolicyEngine engine{EngineOptions{}};
+  Request r;
+  r.op = Op::kOptimize;
+  r.model = serve::fleet_model_spec(0, /*queue_capacity=*/3);
+  r.discount = 0.99;
+  r.objective = "power";
+  ConstraintSpec queue;
+  queue.metric = "queue_length";
+  queue.bound = 1.0;
+  // The throughput floor stays positive, so its negated rhs keeps its
+  // sign and every near hit reuses the session's standard form.
+  ConstraintSpec floor;
+  floor.metric = "throughput";
+  floor.lower_bound = true;
+  floor.bound = 0.001;
+  r.constraints = {queue, floor};
+  const std::size_t n = r.model->compose().num_states();
+  r.initial.assign(n, 1.0 / static_cast<double>(n));
+  engine.handle_line(serve::format_request(r));
+  ASSERT_EQ(engine.counters().cold_solves, 1u);
+
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::size_t zero_pivot = 0, pivoting = 0;
+  for (int k = 1; k <= 60; ++k) {
+    r.id = "m" + std::to_string(k);
+    if (k % 3 == 0) {  // a new p0, zero entries included
+      double mass = 0.0;
+      for (double& p : r.initial) {
+        p = unit(rng) < 0.3 ? 0.0 : 0.1 + unit(rng);
+        mass += p;
+      }
+      for (double& p : r.initial) p /= mass;
+    } else {
+      r.constraints[0].bound = 0.8 + 0.6 * unit(rng);
+    }
+    const EngineCounters before = engine.counters();
+    const std::uint64_t lu_before = lp::sweep_telemetry().refactorizations;
+    const std::string response = engine.handle_line(serve::format_request(r));
+    const std::uint64_t lus =
+        lp::sweep_telemetry().refactorizations - lu_before;
+    const EngineCounters after = engine.counters();
+    ASSERT_NE(response.find("\"feasible\":true"), std::string::npos)
+        << response;
+    ASSERT_EQ(after.near_hits, before.near_hits + 1);
+    if (after.repair_pivots == before.repair_pivots) {
+      EXPECT_EQ(lus, 0u) << "zero-pivot near hit " << k;
+      ++zero_pivot;
+    } else {
+      EXPECT_EQ(lus, 1u) << "pivoting near hit " << k;
+      ++pivoting;
+    }
+  }
+  EXPECT_GT(zero_pivot, 10u);
+  EXPECT_GT(pivoting, 10u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   * the admission layer's batched results equal the unbatched ones,
 //     at any thread count;
 //   * engine pivot counters reconcile exactly with the process-wide
-//     lp::pivots_executed() odometer.
+//     lp::pivots_executed() odometer;
+//   * every accepted connection has Nagle's algorithm off.
 //
 // Sized for the tsan preset: capacity-2 fleet designs solve in tens of
 // pivots, so the whole suite stays fast under instrumentation.
@@ -13,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -305,6 +307,47 @@ TEST(ServeConcurrency, SocketClientsGetColdSolveBytes) {
     EXPECT_EQ(got[i], want[i]) << "socket request " << i;
   }
   EXPECT_EQ(engine.counters().requests, lines.size());
+}
+
+// The server's end of a connection lives in this process: find the
+// descriptor whose peer is the client socket and read its TCP_NODELAY.
+// Pipelined requests on one connection otherwise wait out the client's
+// delayed ACK (tens of ms) before every response after the first.
+TEST(ServeConcurrency, AcceptedConnectionsDisableNagle) {
+  PolicyEngine engine{EngineOptions{}};
+  PolicyServer server(engine, ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const int client = connect_to(server.port());
+  // One answered request: the server has accepted and configured it.
+  EXPECT_NE(roundtrip(client, "{\"op\":\"stats\"}").find("\"ok\""),
+            std::string::npos);
+
+  sockaddr_in local{};
+  socklen_t len = sizeof local;
+  ASSERT_EQ(::getsockname(client, reinterpret_cast<sockaddr*>(&local), &len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 4096 && accepted < 0; ++fd) {
+    if (fd == client) continue;
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof peer;
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+            0 &&
+        peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "server end of the connection not found";
+  int nodelay = 0;
+  socklen_t opt_len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &opt_len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  ::close(client);
+  server.stop();
 }
 
 TEST(ServeConcurrency, ConnectionChurnReapsWorkerThreads) {
