@@ -3,12 +3,12 @@
 // Server mode (default): bind a TCP port, serve line-delimited JSON
 // optimize / reoptimize / evaluate / stats requests through one
 // PolicyEngine until SIGTERM/SIGINT or a shutdown request, then flush
-// the response cache and exit 0.
+// the response cache and exit 0.  Each connection's thread serves its
+// own lines; requests for different designs run in parallel.
 //
 //   dpmd [--port N] [--bind ADDR] [--cache-dir DIR] [--no-cache]
-//        [--cache-entries N] [--deadline-ms X] [--batch-window-us N]
-//        [--max-inflight N] [--max-connections N] [--max-sessions N]
-//        [--max-line-bytes N]
+//        [--cache-entries N] [--deadline-ms X] [--max-inflight N]
+//        [--max-connections N] [--max-sessions N] [--max-line-bytes N]
 //
 // Client mode: replay a request transcript against a running server and
 // print one response line per request (the serve smoke test's driver).
@@ -50,9 +50,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--bind ADDR] [--cache-dir DIR]\n"
                "          [--no-cache] [--cache-entries N] [--deadline-ms X]\n"
-               "          [--batch-window-us N] [--max-inflight N]\n"
-               "          [--max-connections N] [--max-sessions N]\n"
-               "          [--max-line-bytes N]\n"
+               "          [--max-inflight N] [--max-connections N]\n"
+               "          [--max-sessions N] [--max-line-bytes N]\n"
                "       %s --connect HOST:PORT --transcript FILE\n"
                "       %s --print-example-transcript\n",
                argv0, argv0, argv0);
@@ -207,9 +206,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--deadline-ms") {
       engine_options.request_deadline_ms = std::atof(next());
-    } else if (arg == "--batch-window-us") {
-      engine_options.batch_window_us =
-          static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--connect") {
       connect_endpoint = next();
     } else if (arg == "--transcript") {

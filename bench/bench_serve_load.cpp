@@ -12,7 +12,10 @@
 // offered vs sent vs admitted vs completed and prints p50/p99/max
 // latency of the *admitted* requests per level.  A dedicated probe
 // connection round-trips `{"op":"stats"}` throughout, asserting the
-// daemon stays responsive while it sheds.
+// daemon stays responsive while it sheds.  A closed-loop scaling pass
+// then reports the saturation rate at 1, 2 and 4 client connections,
+// each keeping one request in flight, which shows how far requests on
+// different connections run in parallel.
 //
 // Default target is an in-process PolicyServer on an ephemeral port
 // with a deliberately small admission budget, so `--smoke` exercises
@@ -416,6 +419,93 @@ double calibrate_saturation(const std::string& host, const std::string& port,
   return 1000.0 * static_cast<double>(count) / elapsed_ms;
 }
 
+struct ScalingResult {
+  std::size_t connections = 0;
+  std::size_t completed = 0;   // answered "ok"
+  std::size_t overloaded = 0;  // shed by the admission budget
+  double elapsed_ms = 0.0;
+  double rate = 0.0;  // completed requests per second
+  bool ok = true;     // no socket error, no other answer
+};
+
+/// The designs of the scaling pass: client c works on design c % 4.
+constexpr std::size_t kScalingDesigns = 4;
+
+/// Two bounds per scaling design, design d's at 2d and 2d + 1.
+std::vector<std::string> scaling_pool(std::size_t capacity) {
+  std::vector<std::string> pool;
+  for (std::size_t design = 0; design < kScalingDesigns; ++design) {
+    pool.push_back(solve_line(design, 0.9, capacity, "s"));
+    pool.push_back(solve_line(design, 0.95, capacity, "s"));
+  }
+  return pool;
+}
+
+/// Closed-loop saturation at `connections` clients: each keeps one
+/// request in flight on its own connection for `duration_ms`, cycling
+/// its design's two `pool` lines (exact hits once the pool is warm) and
+/// a moved bound (a near hit the first time a bound comes round).
+ScalingResult closed_loop_scaling(const std::string& host,
+                                  const std::string& port,
+                                  const std::vector<std::string>& pool,
+                                  std::size_t capacity,
+                                  std::size_t connections,
+                                  double duration_ms) {
+  ScalingResult result;
+  result.connections = connections;
+  std::vector<std::size_t> completed(connections, 0);
+  std::vector<std::size_t> overloaded(connections, 0);
+  std::vector<char> ok(connections, 0);
+  const Clock::time_point t0 = Clock::now();
+  const Clock::time_point stop =
+      t0 + std::chrono::microseconds(static_cast<long long>(duration_ms * 1e3));
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < connections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connect_to(host, port);
+      if (fd < 0) return;
+      const std::size_t design = c % kScalingDesigns;
+      std::string pending;
+      std::string line;
+      for (std::size_t pass = 0; Clock::now() < stop; ++pass) {
+        std::string out =
+            pass % 3 < 2
+                ? pool[2 * design + pass % 3]
+                : solve_line(design,
+                             0.9 + 0.002 * static_cast<double>(
+                                               1 + (pass / 3 + 30 * c) % 120),
+                             capacity, "s");
+        out.push_back('\n');
+        if (!send_all(fd, out.data(), out.size()) ||
+            !read_line(fd, pending, line, 30000)) {
+          ::close(fd);
+          return;
+        }
+        if (line.find("\"code\":\"overloaded\"") != std::string::npos) {
+          ++overloaded[c];
+        } else if (line.find("\"status\":\"ok\"") != std::string::npos) {
+          ++completed[c];
+        } else {
+          ::close(fd);
+          return;
+        }
+      }
+      ok[c] = 1;
+      ::close(fd);
+    });
+  }
+  for (std::thread& th : clients) th.join();
+  result.elapsed_ms = ms_between(t0, Clock::now());
+  for (std::size_t c = 0; c < connections; ++c) {
+    result.completed += completed[c];
+    result.overloaded += overloaded[c];
+    result.ok = result.ok && ok[c] != 0;
+  }
+  result.rate = 1000.0 * static_cast<double>(result.completed) /
+                result.elapsed_ms;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -556,6 +646,46 @@ int main(int argc, char** argv) {
         r.achieved_rate, r.p50_ms, r.p99_ms, r.max_ms, r.stats_roundtrips);
   }
 
+  // Closed-loop scaling, one design per client.  The in-process
+  // target's admission budget of 2 would shed a third and fourth
+  // client, so it is measured on a second in-process server with the
+  // default budget; a --connect daemon is measured as it is configured,
+  // its sheds reported.
+  std::string scale_port = port;
+  std::unique_ptr<dpm::serve::PolicyEngine> scale_engine;
+  std::unique_ptr<dpm::serve::PolicyServer> scale_server;
+  std::string error;
+  bool warm_ok = true;
+  if (owned_server) {
+    scale_engine = std::make_unique<dpm::serve::PolicyEngine>(
+        dpm::serve::EngineOptions{});
+    scale_server = std::make_unique<dpm::serve::PolicyServer>(
+        *scale_engine, dpm::serve::ServerOptions{});
+    warm_ok = scale_server->start(&error);
+    if (warm_ok) scale_port = std::to_string(scale_server->port());
+  }
+  const std::vector<std::string> pool = scaling_pool(capacity);
+  if (warm_ok) {
+    calibrate_saturation(host, scale_port, pool, capacity, &warm_ok);
+  }
+  if (!warm_ok) {
+    std::fprintf(stderr, "bench_serve_load: scaling warmup failed %s\n",
+                 error.c_str());
+    return 1;
+  }
+  dpm::bench::section("closed-loop scaling (one request in flight per "
+                      "connection, one design each)");
+  std::vector<ScalingResult> scaling;
+  for (const std::size_t clients : {1u, 2u, 4u}) {
+    scaling.push_back(closed_loop_scaling(host, scale_port, pool, capacity,
+                                          clients, smoke ? 100.0 : 500.0));
+    const ScalingResult& s = scaling.back();
+    std::printf("  %zu connection%s %8.0f req/s  (%zu ok, %zu overloaded)\n",
+                clients, clients == 1 ? " " : "s", s.rate, s.completed,
+                s.overloaded);
+  }
+  if (scale_server) scale_server->stop();
+
   // Acceptance checks (ISSUE 10): responsive at every level, typed sheds
   // at 2x, and shedding — not queuing — keeps the admitted-request p99
   // at 2x within 5x of the 0.5x p99 (floored against timer noise on
@@ -572,6 +702,12 @@ int main(int argc, char** argv) {
     }
     if (r.stats_roundtrips == 0) {
       problems.push_back(tag + "stats probe got no round trips");
+    }
+  }
+  for (const ScalingResult& s : scaling) {
+    if (!s.ok || s.completed == 0) {
+      problems.push_back("closed loop at " + std::to_string(s.connections) +
+                         " connections: socket error or failed answer");
     }
   }
   if (expect_sheds && !results.empty()) {
@@ -606,6 +742,9 @@ int main(int argc, char** argv) {
       report.add("load " + std::to_string(kLevels[level]) + "x p99",
                  r.p99_ms, r.ok, r.achieved_rate);
     }
+    const ScalingResult& four = scaling.back();
+    report.add("closed-loop 4 connections req/s", four.elapsed_ms,
+               four.completed, four.rate);
   }
 
   if (owned_server) owned_server->stop();

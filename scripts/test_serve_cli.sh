@@ -11,7 +11,8 @@
 #      non-stats responses and an exact-hit ratio > 0.5 for the pass;
 #   4. SIGTERM shuts the server down cleanly (exit 0, "shutdown clean",
 #      cache flushed to disk);
-#   5. an unresolvable --bind is a usage error (exit 2);
+#   5. an unresolvable --bind and an unknown flag are usage errors
+#      (exit 2);
 #   6. overload: a daemon with tiny caps rejects an oversized line with
 #      a typed bad-request, sheds a connection flood past
 #      --max-connections with typed overloaded lines while staying
@@ -117,6 +118,11 @@ bind_exit=0
   fail "--bind no-such-host.invalid exited ${bind_exit}, want 2"
 grep -q 'no-such-host.invalid' bind.out ||
   fail "--bind failure message does not name the bad address"
+# The removed admission window's flag is now unknown.
+flag_exit=0
+"${dpmd}" --batch-window-us 200 > flag.out 2>&1 || flag_exit=$?
+[[ "${flag_exit}" -eq 2 ]] ||
+  fail "--batch-window-us exited ${flag_exit}, want 2 (unknown flag)"
 
 # --- 6. overload: bounded line, connection-flood sheds, clean stop ----
 "${dpmd}" --port 0 --no-cache --max-connections 1 --max-line-bytes 512 \

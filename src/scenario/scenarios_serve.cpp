@@ -122,7 +122,6 @@ Scenario make_serve() {
             for (std::size_t d = 0; d < devices; ++d) {
               EngineOptions opts;
               opts.cache = false;
-              opts.batch_window_us = 0;
               PolicyEngine cold(opts);
               const std::string response = cold.handle_line(lines[d]);
               ctx.check(response.find("\"feasible\":true") !=
@@ -133,22 +132,27 @@ Scenario make_serve() {
             cold_wall_ms = wall_now_ms() - t0;
           }
 
-          // Phase B — the serving tiers: one engine, batched waves.
-          EngineOptions opts;
-          opts.batch_window_us = 0;  // batching is explicit here
-          PolicyEngine engine(opts);
+          // Phase B — the serving tiers: one engine, waves of 16
+          // devices, each wave served design by design in order of first
+          // appearance (the device order within a design kept), so a
+          // design's first request in the wave solves and its other
+          // requests repair from the basis that solve leaves.
+          PolicyEngine engine(EngineOptions{});
           const double t1 = wall_now_ms();
           const std::size_t kWave = 16;
           for (std::size_t start = 0; start < devices; start += kWave) {
             const std::size_t end = std::min(devices, start + kWave);
-            const std::vector<std::string> wave(lines.begin() + start,
-                                                lines.begin() + end);
-            const std::vector<std::string> responses =
-                engine.handle_batch(wave);
-            for (const std::string& response : responses) {
-              ctx.check(response.find("\"feasible\":true") !=
-                            std::string::npos,
-                        "serve request infeasible: " + response);
+            std::vector<bool> served(end - start, false);
+            for (std::size_t d = start; d < end; ++d) {
+              if (served[d - start]) continue;
+              for (std::size_t e = d; e < end; ++e) {
+                if (variants[e] != variants[d]) continue;
+                served[e - start] = true;
+                const std::string response = engine.handle_line(lines[e]);
+                ctx.check(response.find("\"feasible\":true") !=
+                              std::string::npos,
+                          "serve request infeasible: " + response);
+              }
             }
           }
           const double serve_wall_ms = wall_now_ms() - t1;
@@ -164,8 +168,7 @@ Scenario make_serve() {
 
           // Replay wave: the whole fleet again — all exact hits, zero
           // additional simplex work on the engine's own counters.
-          const std::vector<std::string> replays =
-              engine.handle_batch(lines);
+          for (const std::string& line : lines) engine.handle_line(line);
           const EngineCounters replay = engine.counters();
           ctx.check(replay.exact_hits == after.exact_hits + devices,
                     "replay wave must be all exact hits");
@@ -221,7 +224,7 @@ Scenario make_serve() {
                     lat.p50_ms, lat.p99_ms, lat.samples);
           ctx.linef("  sustained %.0f req/s",
                     serve_wall_ms > 0
-                        ? 1000.0 * static_cast<double>(devices + replays.size()) /
+                        ? 1000.0 * static_cast<double>(2 * devices) /
                               serve_wall_ms
                         : 0.0);
 
@@ -361,7 +364,6 @@ Scenario make_serve() {
           const std::size_t capacity = 6;
           EngineOptions opts;
           opts.max_sessions = 2;
-          opts.batch_window_us = 0;
           PolicyEngine engine(opts);
 
           const auto solve_ok = [&](std::size_t variant, double bound,
@@ -393,7 +395,6 @@ Scenario make_serve() {
                     "evicted structure must re-solve cold");
           EngineOptions fresh_opts;
           fresh_opts.cache = false;
-          fresh_opts.batch_window_us = 0;
           PolicyEngine fresh(fresh_opts);
           const bool identical =
               demoted == fresh.handle_line(demoted_line);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <utility>
 
 #include "dpm/crash.h"
@@ -37,7 +36,6 @@ struct TelemetryCells {
   std::atomic<std::uint64_t> failures{0};
   std::atomic<std::uint64_t> repair_pivots{0};
   std::atomic<std::uint64_t> cold_pivots{0};
-  std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> sheds{0};
   std::atomic<std::uint64_t> conn_sheds{0};
   std::atomic<std::uint64_t> session_evictions{0};
@@ -57,10 +55,24 @@ void add_telemetry(const EngineCounters& delta) noexcept {
   add(g_telemetry.failures, delta.failures);
   add(g_telemetry.repair_pivots, delta.repair_pivots);
   add(g_telemetry.cold_pivots, delta.cold_pivots);
-  add(g_telemetry.batches, delta.batches);
   add(g_telemetry.sheds, delta.sheds);
   add(g_telemetry.conn_sheds, delta.conn_sheds);
   add(g_telemetry.session_evictions, delta.session_evictions);
+}
+
+void add_counters(EngineCounters& into, const EngineCounters& delta) {
+  into.requests += delta.requests;
+  into.exact_hits += delta.exact_hits;
+  into.near_hits += delta.near_hits;
+  into.cold_solves += delta.cold_solves;
+  into.evaluations += delta.evaluations;
+  into.rejections += delta.rejections;
+  into.failures += delta.failures;
+  into.repair_pivots += delta.repair_pivots;
+  into.cold_pivots += delta.cold_pivots;
+  into.sheds += delta.sheds;
+  into.conn_sheds += delta.conn_sheds;
+  into.session_evictions += delta.session_evictions;
 }
 
 /// Best-effort request-id recovery for responses produced *without*
@@ -162,7 +174,6 @@ EngineCounters serve_telemetry() noexcept {
   t.failures = g_telemetry.failures.load(std::memory_order_relaxed);
   t.repair_pivots = g_telemetry.repair_pivots.load(std::memory_order_relaxed);
   t.cold_pivots = g_telemetry.cold_pivots.load(std::memory_order_relaxed);
-  t.batches = g_telemetry.batches.load(std::memory_order_relaxed);
   t.sheds = g_telemetry.sheds.load(std::memory_order_relaxed);
   t.conn_sheds = g_telemetry.conn_sheds.load(std::memory_order_relaxed);
   t.session_evictions =
@@ -175,7 +186,10 @@ EngineCounters serve_telemetry() noexcept {
 /// next near-hit warm-starts from, and the simplex engine kept for this
 /// LP (its standard form and the fresh LU of `basis`).  Heap-allocated
 /// so the metric closures, the optimizer's model pointer and the LP the
-/// retained engine is bound to stay put for the session's lifetime.
+/// retained engine is bound to stay put for the session's lifetime, and
+/// shared so an evicted session outlives the requests still using it.
+/// The fields set by the constructor are immutable afterwards; `mutex`
+/// guards the rest (lp's rhs, basis, simplex) for one request at a time.
 struct PolicyEngine::Session {
   SystemModel model;
   double discount = 0.0;
@@ -188,7 +202,8 @@ struct PolicyEngine::Session {
   lp::SimplexBasis basis;               // last optimal basis
   lp::RetainedSimplex simplex;          // engine kept across requests
   std::uint64_t structural = 0;
-  std::uint64_t lru = 0;  // engine session_clock_ at last use
+  std::uint64_t lru = 0;  // engine session_clock_ at last use (table lock)
+  std::mutex mutex;
 
   Session(SystemModel m, const Request& request, std::uint64_t key)
       : model(std::move(m)),
@@ -232,12 +247,6 @@ struct PolicyEngine::Parsed {
   std::string error_detail;
   std::optional<SystemModel> model;  // composed inline model
   std::uint64_t structural = 0;      // solve ops only
-  bool has_structural = false;
-};
-
-struct PolicyEngine::Slot {
-  std::string line;
-  std::promise<std::string> promise;
 };
 
 PolicyEngine::PolicyEngine(EngineOptions options)
@@ -271,7 +280,6 @@ PolicyEngine::Parsed PolicyEngine::parse_one(const std::string& line) const {
         }
         p.structural = *ref;
       }
-      p.has_structural = true;
     }
   } catch (const ProtocolError& e) {
     p.error_code = e.code();
@@ -284,248 +292,162 @@ PolicyEngine::Parsed PolicyEngine::parse_one(const std::string& line) const {
 }
 
 std::string PolicyEngine::handle_line(const std::string& line) {
+  const double t0 = now_ms();
   Parsed parsed = parse_one(line);
-  return compose_response(parsed.req.id, process(parsed));
-}
-
-std::vector<std::string> PolicyEngine::handle_batch(
-    const std::vector<std::string>& lines) {
-  std::vector<Parsed> parsed;
-  parsed.reserve(lines.size());
-  for (const std::string& line : lines) parsed.push_back(parse_one(line));
-
-  // Group solve requests by structural key, preserving first-appearance
-  // order: the group's first request solves cold (or warm from a prior
-  // session), the rest dual-repair from the basis it just installed.
-  std::vector<std::size_t> order;
-  order.reserve(lines.size());
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-  std::vector<std::uint64_t> group_order;
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const Parsed& p = parsed[i];
-    if (p.error_code.empty() && p.has_structural) {
-      auto [it, inserted] = groups.try_emplace(p.structural);
-      if (inserted) group_order.push_back(p.structural);
-      it->second.push_back(i);
-    } else {
-      order.push_back(i);  // non-solve requests keep arrival order
-    }
-  }
-  for (const std::uint64_t key : group_order) {
-    for (const std::size_t i : groups[key]) order.push_back(i);
-  }
-
-  std::vector<std::string> responses(lines.size());
-  for (const std::size_t i : order) {
-    responses[i] = compose_response(parsed[i].req.id, process(parsed[i]));
-  }
-  if (lines.size() > 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.batches += 1;
-    EngineCounters delta;
-    delta.batches = 1;
-    add_telemetry(delta);
-  }
-  return responses;
+  EngineCounters delta;
+  std::string response =
+      compose_response(parsed.req.id, process(parsed, delta));
+  record(delta, now_ms() - t0);
+  return response;
 }
 
 std::string PolicyEngine::submit(const std::string& line) {
-  auto slot = std::make_shared<Slot>();
-  slot->line = line;
-  std::future<std::string> response = slot->promise.get_future();
-
-  std::unique_lock<std::mutex> lock(adm_mutex_);
-  if (options_.max_inflight > 0 && adm_inflight_ >= options_.max_inflight) {
-    // Admission budget exhausted: shed instead of queuing.  The line is
-    // never parsed (shedding must stay cheap under a flood), so the id
-    // echo is best-effort and the detail names the budget that fired.
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      counters_.sheds += 1;
+  std::size_t admitted = inflight_.load();
+  do {
+    if (options_.max_inflight > 0 && admitted >= options_.max_inflight) {
+      // Admission budget exhausted: shed instead of queuing.  The line
+      // is never parsed (shedding must stay cheap under a flood), so the
+      // id echo is best-effort and the detail names the budget that
+      // fired.
+      EngineCounters delta;
+      delta.sheds = 1;
+      record(delta);
+      return compose_response(
+          peek_id(line),
+          error_body("overloaded",
+                     "admission budget exhausted (max_inflight=" +
+                         std::to_string(options_.max_inflight) +
+                         "); retry later"));
     }
-    EngineCounters delta;
-    delta.sheds = 1;
-    add_telemetry(delta);
-    return compose_response(
-        peek_id(line),
-        error_body("overloaded",
-                   "admission budget exhausted (max_inflight=" +
-                       std::to_string(options_.max_inflight) +
-                       "); retry later"));
-  }
-  ++adm_inflight_;
-  // Every exit from here on must release the admission slot, including
-  // a response.get() that rethrows the leader's set_exception and any
-  // throw while adm_mutex_ is still held (the guard reuses the caller's
-  // unique_lock so it never self-deadlocks).
+  } while (!inflight_.compare_exchange_weak(admitted, admitted + 1));
+  // Released on every exit, including a throw out of handle_line.
   struct InflightGuard {
-    PolicyEngine* engine;
-    std::unique_lock<std::mutex>* lock;
-    ~InflightGuard() {
-      if (!lock->owns_lock()) lock->lock();
-      --engine->adm_inflight_;
-      lock->unlock();
-    }
-  } inflight_guard{this, &lock};
-  adm_pending_.push_back(slot);
-  if (!adm_leader_) {
-    // Become the admission leader: hold the window open so concurrent
-    // submitters coalesce into one batch, then serve it for everyone.
-    adm_leader_ = true;
-    if (options_.batch_window_us > 0) {
-      adm_cv_.wait_for(lock,
-                       std::chrono::microseconds(options_.batch_window_us));
-    }
-    std::vector<std::shared_ptr<Slot>> batch = std::move(adm_pending_);
-    adm_pending_.clear();
-    adm_leader_ = false;
-    lock.unlock();
+    std::atomic<std::size_t>& inflight;
+    ~InflightGuard() { --inflight; }
+  } guard{inflight_};
+  return handle_line(line);
+}
 
-    // Every slot's promise must be fulfilled no matter what: a follower
-    // blocked in get() on a destroyed-unfulfilled promise would see a
-    // future_error escape its connection thread and terminate the
-    // daemon.
-    std::size_t delivered = 0;
-    try {
-      std::vector<std::string> batch_lines;
-      batch_lines.reserve(batch.size());
-      for (const auto& s : batch) batch_lines.push_back(s->line);
-      std::vector<std::string> batch_responses = handle_batch(batch_lines);
-      for (; delivered < batch.size(); ++delivered) {
-        batch[delivered]->promise.set_value(
-            std::move(batch_responses[delivered]));
-      }
-    } catch (...) {
-      for (std::size_t i = delivered; i < batch.size(); ++i) {
-        try {
-          batch[i]->promise.set_value(compose_response(
-              "", error_body("internal", "batch processing failed")));
-        } catch (...) {
-          // Even the error body failed to build (allocation exhaustion):
-          // hand the exception itself over; serve_connection's catch
-          // around submit() is the final backstop.
-          try {
-            batch[i]->promise.set_exception(std::current_exception());
-          } catch (...) {
-          }
-        }
+std::string PolicyEngine::process(Parsed& parsed, EngineCounters& delta) {
+  delta.requests += 1;
+  if (!parsed.error_code.empty()) {
+    delta.rejections += 1;
+    return error_body(parsed.error_code, parsed.error_detail);
+  }
+  try {
+    switch (parsed.req.op) {
+      case Op::kOptimize:
+      case Op::kReoptimize:
+        return process_solve(parsed, delta);
+      case Op::kEvaluate:
+        return process_evaluate(parsed, delta);
+      case Op::kStats:
+        return stats_body(delta);
+      case Op::kShutdown: {
+        shutdown_ = true;
+        JsonValue o = JsonValue::object();
+        o.set("status", JsonValue::string("ok"));
+        o.set("shutting_down", JsonValue::boolean(true));
+        return o.dump();
       }
     }
+  } catch (const ProtocolError& e) {
+    delta.rejections += 1;
+    return error_body(e.code(), e.what());
+  } catch (const std::exception& e) {
+    delta.rejections += 1;
+    return error_body("bad-request", e.what());
+  }
+  return {};
+}
+
+void PolicyEngine::record(const EngineCounters& delta, double elapsed_ms) {
+  add_telemetry(delta);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  add_counters(counters_, delta);
+  if (elapsed_ms < 0.0) return;  // not a served request: no sample
+  if (latency_samples_.size() >= kMaxLatencySamples) {
+    latency_samples_[counters_.requests % kMaxLatencySamples] = elapsed_ms;
   } else {
-    lock.unlock();
+    latency_samples_.push_back(elapsed_ms);
   }
-  return response.get();
 }
 
-std::string PolicyEngine::process(Parsed& parsed) {
-  const double t0 = now_ms();
-  std::string body;
+bool PolicyEngine::cache_lookup(std::uint64_t key, std::string& body) {
+  if (!cache_) return false;
+  scenario::UnitOutput cached;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (!cache_->lookup(key, cached) || cached.lines.empty()) return false;
+  body = std::move(cached.lines.front());
+  return true;
+}
+
+void PolicyEngine::cache_store(std::uint64_t key, const std::string& body) {
+  if (!cache_) return;
+  scenario::UnitOutput out;
+  out.lines.push_back(body);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  cache_->store(key, "dpmd", key_to_hex(key), out);
+}
+
+std::shared_ptr<PolicyEngine::Session> PolicyEngine::resolve_session(
+    Parsed& parsed, EngineCounters& delta) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EngineCounters before = counters_;
-    counters_.requests += 1;
-    if (!parsed.error_code.empty()) {
-      counters_.rejections += 1;
-      body = error_body(parsed.error_code, parsed.error_detail);
-    } else {
-      try {
-        switch (parsed.req.op) {
-          case Op::kOptimize:
-          case Op::kReoptimize:
-            body = process_solve(parsed);
-            break;
-          case Op::kEvaluate:
-            body = process_evaluate(parsed);
-            break;
-          case Op::kStats:
-            body = stats_body();
-            break;
-          case Op::kShutdown: {
-            shutdown_ = true;
-            JsonValue o = JsonValue::object();
-            o.set("status", JsonValue::string("ok"));
-            o.set("shutting_down", JsonValue::boolean(true));
-            body = o.dump();
-            break;
-          }
-        }
-      } catch (const ProtocolError& e) {
-        counters_.rejections += 1;
-        body = error_body(e.code(), e.what());
-      } catch (const std::exception& e) {
-        counters_.rejections += 1;
-        body = error_body("bad-request", e.what());
-      }
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    auto it = sessions_.find(parsed.structural);
+    if (it != sessions_.end()) {
+      it->second->lru = ++session_clock_;
+      return it->second;
     }
-    // Mirror this request's counter delta into the process aggregate.
-    EngineCounters delta;
-    delta.requests = counters_.requests - before.requests;
-    delta.exact_hits = counters_.exact_hits - before.exact_hits;
-    delta.near_hits = counters_.near_hits - before.near_hits;
-    delta.cold_solves = counters_.cold_solves - before.cold_solves;
-    delta.evaluations = counters_.evaluations - before.evaluations;
-    delta.rejections = counters_.rejections - before.rejections;
-    delta.failures = counters_.failures - before.failures;
-    delta.repair_pivots = counters_.repair_pivots - before.repair_pivots;
-    delta.cold_pivots = counters_.cold_pivots - before.cold_pivots;
-    delta.session_evictions =
-        counters_.session_evictions - before.session_evictions;
-    add_telemetry(delta);
-
-    const double elapsed = now_ms() - t0;
-    if (latency_samples_.size() >= kMaxLatencySamples) {
-      latency_samples_[counters_.requests % kMaxLatencySamples] = elapsed;
-    } else {
-      latency_samples_.push_back(elapsed);
-    }
-  }
-  return body;
-}
-
-PolicyEngine::Session& PolicyEngine::resolve_session(Parsed& parsed) {
-  auto it = sessions_.find(parsed.structural);
-  if (it != sessions_.end()) {
-    it->second->lru = ++session_clock_;
-    return *it->second;
   }
   if (!parsed.model) {
     throw ProtocolError("unknown-model",
                         "model_ref " + key_to_hex(parsed.structural) +
                             " is not registered; send the model inline");
   }
+  // Built outside the table lock: LP assembly and the crash seed are the
+  // expensive part of registering a structure.
+  std::shared_ptr<Session> built;
   try {
-    auto session = std::make_unique<Session>(std::move(*parsed.model),
-                                             parsed.req, parsed.structural);
+    built = std::make_shared<Session>(std::move(*parsed.model), parsed.req,
+                                      parsed.structural);
+  } catch (const ModelError& e) {
+    throw ProtocolError("bad-model", e.what());
+  } catch (const lp::LpError& e) {
+    throw ProtocolError("bad-model", e.what());
+  }
+  std::shared_ptr<Session> evicted;  // destroyed after the lock is released
+  std::lock_guard<std::mutex> lock(table_mutex_);
+  auto it = sessions_.find(parsed.structural);
+  if (it == sessions_.end()) {
     // LRU bound on the warm-start state: inserting past the cap drops
     // the stalest structure.  Its next request re-registers and pays a
     // cold solve — whose canonical finish makes the response bytes
     // identical to the evicted session's original cold solve, so
-    // eviction is a pure economics (never correctness) event.
+    // eviction is a pure economics (never correctness) event.  A request
+    // still using the evicted session keeps it alive until it returns.
     if (options_.max_sessions > 0 &&
         sessions_.size() >= options_.max_sessions) {
       auto stalest = sessions_.begin();
       for (auto probe = sessions_.begin(); probe != sessions_.end(); ++probe) {
         if (probe->second->lru < stalest->second->lru) stalest = probe;
       }
+      evicted = std::move(stalest->second);
       sessions_.erase(stalest);
-      counters_.session_evictions += 1;
+      delta.session_evictions += 1;
     }
-    session->lru = ++session_clock_;
-    auto [slot, inserted] =
-        sessions_.emplace(parsed.structural, std::move(session));
-    return *slot->second;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const ModelError& e) {
-    throw ProtocolError("bad-model", e.what());
-  } catch (const lp::LpError& e) {
-    throw ProtocolError("bad-model", e.what());
+    it = sessions_.emplace(parsed.structural, std::move(built)).first;
   }
+  // else another thread registered the structure first: drop this build
+  // and share the winner's session.
+  it->second->lru = ++session_clock_;
+  return it->second;
 }
 
-std::string PolicyEngine::process_solve(Parsed& parsed) {
-  Session& session = resolve_session(parsed);
+std::string PolicyEngine::process_solve(Parsed& parsed,
+                                        EngineCounters& delta) {
+  const std::shared_ptr<Session> held = resolve_session(parsed, delta);
+  const Session& session = *held;
   const Request& request = parsed.req;
 
   // A model_ref request must match the session's structural constraint
@@ -563,11 +485,13 @@ std::string PolicyEngine::process_solve(Parsed& parsed) {
                         "field to reuse the session's)");
   }
 
-  return solve_in_session(session, request);
+  std::lock_guard<std::mutex> lock(held->mutex);
+  return solve_in_session(*held, request, delta);
 }
 
 std::string PolicyEngine::solve_in_session(Session& session,
-                                           const Request& request) {
+                                           const Request& request,
+                                           EngineCounters& delta) {
   const std::size_t n = session.model.num_states();
   const double horizon = 1.0 / (1.0 - session.discount);
 
@@ -585,12 +509,10 @@ std::string PolicyEngine::solve_in_session(Session& session,
 
   const std::uint64_t key =
       solve_request_key(session.structural, session.lp, request.want_policy);
-  if (cache_) {
-    scenario::UnitOutput cached;
-    if (cache_->lookup(key, cached) && !cached.lines.empty()) {
-      counters_.exact_hits += 1;
-      return cached.lines.front();
-    }
+  std::string body;
+  if (cache_lookup(key, body)) {
+    delta.exact_hits += 1;
+    return body;
   }
 
   const bool warm = !session.basis.empty();
@@ -623,7 +545,11 @@ std::string PolicyEngine::solve_in_session(Session& session,
     // so the reported numbers depend only on (LP, optimal basis) — a
     // warm repair and a cold solve landing on the same vertex answer
     // with identical bytes.  It runs on the session's engine: the
-    // standard form is reused and the basis refactorized in place.
+    // standard form is reused and the basis refactorized in place.  A
+    // fresh LU depends on the order of the basic columns, and a repair
+    // and a cold solve reach one vertex with its columns in different
+    // orders, so the finish installs them in ascending order.
+    std::sort(basis_out.basic.begin(), basis_out.basic.end());
     robust::SupervisorOptions certify_opts;
     certify_opts.lp.retained = &session.simplex;
     const robust::SolveSupervisor certifier(certify_opts);
@@ -643,19 +569,18 @@ std::string PolicyEngine::solve_in_session(Session& session,
     // An abandoned solve is its own tier: it contributes to no hit or
     // pivot economics (the work bought no reusable answer), and the
     // response is never cached so a retry recomputes from scratch.
-    counters_.failures += 1;
+    delta.failures += 1;
     return failure_body(*outcome.failure);  // never cached: must recompute
   }
 
   if (warm) {
-    counters_.near_hits += 1;
-    counters_.repair_pivots += pivots;
+    delta.near_hits += 1;
+    delta.repair_pivots += pivots;
   } else {
-    counters_.cold_solves += 1;
-    counters_.cold_pivots += pivots;
+    delta.cold_solves += 1;
+    delta.cold_pivots += pivots;
   }
 
-  std::string body;
   if (outcome.solution.status != lp::LpStatus::kOptimal) {
     JsonValue o = JsonValue::object();
     o.set("status", JsonValue::string("ok"));
@@ -697,15 +622,12 @@ std::string PolicyEngine::solve_in_session(Session& session,
     body = o.dump();
   }
 
-  if (cache_) {
-    scenario::UnitOutput out;
-    out.lines.push_back(body);
-    cache_->store(key, "dpmd", key_to_hex(key), out);
-  }
+  cache_store(key, body);
   return body;
 }
 
-std::string PolicyEngine::process_evaluate(const Parsed& parsed) {
+std::string PolicyEngine::process_evaluate(const Parsed& parsed,
+                                           EngineCounters& delta) {
   const Request& request = parsed.req;
   const SystemModel& model = *parsed.model;
   const std::size_t n = model.num_states();
@@ -727,15 +649,12 @@ std::string PolicyEngine::process_evaluate(const Parsed& parsed) {
 
   const std::uint64_t key = evaluate_request_key(model, request.discount, p0,
                                                  decisions, request.metrics);
-  if (cache_) {
-    scenario::UnitOutput cached;
-    if (cache_->lookup(key, cached) && !cached.lines.empty()) {
-      counters_.exact_hits += 1;
-      return cached.lines.front();
-    }
+  std::string body;
+  if (cache_lookup(key, body)) {
+    delta.exact_hits += 1;
+    return body;
   }
 
-  std::string body;
   try {
     const Policy policy = Policy::randomized(std::move(decisions));
     const PolicyEvaluation evaluation(model, policy, request.discount, p0);
@@ -753,109 +672,93 @@ std::string PolicyEngine::process_evaluate(const Parsed& parsed) {
   } catch (const linalg::LinalgError& e) {
     throw ProtocolError("bad-request", e.what());
   }
-  counters_.evaluations += 1;
+  delta.evaluations += 1;
 
-  if (cache_) {
-    scenario::UnitOutput out;
-    out.lines.push_back(body);
-    cache_->store(key, "dpmd", key_to_hex(key), out);
-  }
+  cache_store(key, body);
   return body;
 }
 
-std::string PolicyEngine::stats_body() const {
+/// `delta` is the stats request's own, not yet recorded, accounting.
+std::string PolicyEngine::stats_body(const EngineCounters& delta) const {
+  EngineCounters counters = this->counters();
+  add_counters(counters, delta);
   JsonValue c = JsonValue::object();
-  c.set("requests", JsonValue::number(double(counters_.requests)));
-  c.set("exact_hits", JsonValue::number(double(counters_.exact_hits)));
-  c.set("near_hits", JsonValue::number(double(counters_.near_hits)));
-  c.set("cold_solves", JsonValue::number(double(counters_.cold_solves)));
-  c.set("evaluations", JsonValue::number(double(counters_.evaluations)));
-  c.set("rejections", JsonValue::number(double(counters_.rejections)));
-  c.set("failures", JsonValue::number(double(counters_.failures)));
-  c.set("repair_pivots", JsonValue::number(double(counters_.repair_pivots)));
-  c.set("cold_pivots", JsonValue::number(double(counters_.cold_pivots)));
-  c.set("batches", JsonValue::number(double(counters_.batches)));
-  c.set("sheds", JsonValue::number(double(counters_.sheds)));
-  c.set("conn_sheds", JsonValue::number(double(counters_.conn_sheds)));
+  c.set("requests", JsonValue::number(double(counters.requests)));
+  c.set("exact_hits", JsonValue::number(double(counters.exact_hits)));
+  c.set("near_hits", JsonValue::number(double(counters.near_hits)));
+  c.set("cold_solves", JsonValue::number(double(counters.cold_solves)));
+  c.set("evaluations", JsonValue::number(double(counters.evaluations)));
+  c.set("rejections", JsonValue::number(double(counters.rejections)));
+  c.set("failures", JsonValue::number(double(counters.failures)));
+  c.set("repair_pivots", JsonValue::number(double(counters.repair_pivots)));
+  c.set("cold_pivots", JsonValue::number(double(counters.cold_pivots)));
+  c.set("sheds", JsonValue::number(double(counters.sheds)));
+  c.set("conn_sheds", JsonValue::number(double(counters.conn_sheds)));
   c.set("session_evictions",
-        JsonValue::number(double(counters_.session_evictions)));
+        JsonValue::number(double(counters.session_evictions)));
 
   JsonValue cache = JsonValue::object();
   if (cache_) {
-    const scenario::CacheStats& s = cache_->stats();
+    const scenario::CacheStats s = cache_stats();
     cache.set("hits", JsonValue::number(double(s.hits)));
     cache.set("misses", JsonValue::number(double(s.misses)));
     cache.set("rejected", JsonValue::number(double(s.rejected)));
     cache.set("evicted", JsonValue::number(double(s.evicted)));
   }
 
-  std::vector<double> samples = latency_samples_;
-  std::sort(samples.begin(), samples.end());
+  const LatencySummary summary = this->latency();
   JsonValue latency = JsonValue::object();
-  if (!samples.empty()) {
-    latency.set("p50_ms",
-                JsonValue::number(samples[samples.size() / 2]));
-    latency.set("p99_ms",
-                JsonValue::number(samples[(samples.size() * 99) / 100]));
-    latency.set("max_ms", JsonValue::number(samples.back()));
+  if (summary.samples > 0) {
+    latency.set("p50_ms", JsonValue::number(summary.p50_ms));
+    latency.set("p99_ms", JsonValue::number(summary.p99_ms));
+    latency.set("max_ms", JsonValue::number(summary.max_ms));
   }
-  latency.set("samples", JsonValue::number(double(samples.size())));
+  latency.set("samples", JsonValue::number(double(summary.samples)));
 
   JsonValue o = JsonValue::object();
   o.set("status", JsonValue::string("ok"));
   o.set("counters", std::move(c));
-  o.set("sessions", JsonValue::number(double(sessions_.size())));
+  o.set("sessions", JsonValue::number(double(num_sessions())));
   o.set("cache", std::move(cache));
   o.set("latency", std::move(latency));
   return o.dump();
 }
 
 void PolicyEngine::note_shed_connection() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.conn_sheds += 1;
-  }
   EngineCounters delta;
   delta.conn_sheds = 1;
-  add_telemetry(delta);
+  record(delta);
 }
 
 void PolicyEngine::note_oversized_line() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.rejections += 1;
-  }
   EngineCounters delta;
   delta.rejections = 1;
-  add_telemetry(delta);
+  record(delta);
 }
 
-std::size_t PolicyEngine::inflight() const {
-  std::lock_guard<std::mutex> lock(adm_mutex_);
-  return adm_inflight_;
-}
+std::size_t PolicyEngine::inflight() const { return inflight_.load(); }
 
 bool PolicyEngine::flush_cache() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
   if (!cache_ || options_.cache_dir.empty()) return true;
   return cache_->flush();
 }
 
-bool PolicyEngine::shutdown_requested() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shutdown_;
-}
+bool PolicyEngine::shutdown_requested() const noexcept { return shutdown_; }
 
 EngineCounters PolicyEngine::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
   return counters_;
 }
 
 LatencySummary PolicyEngine::latency() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<double> samples;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    samples = latency_samples_;
+  }
   LatencySummary summary;
-  if (latency_samples_.empty()) return summary;
-  std::vector<double> samples = latency_samples_;
+  if (samples.empty()) return summary;
   std::sort(samples.begin(), samples.end());
   summary.samples = samples.size();
   summary.p50_ms = samples[samples.size() / 2];
@@ -865,12 +768,12 @@ LatencySummary PolicyEngine::latency() const {
 }
 
 scenario::CacheStats PolicyEngine::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
   return cache_ ? cache_->stats() : scenario::CacheStats{};
 }
 
 std::size_t PolicyEngine::num_sessions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(table_mutex_);
   return sessions_.size();
 }
 

@@ -1,10 +1,18 @@
 // PolicyEngine: the dpmd request processor.
 //
 // One engine owns the full serving state — the model/LP session table,
-// the content-addressed response cache, and the telemetry counters —
-// behind a single mutex, so every request sequence produces the same
-// responses at any client thread count (the serving restatement of the
-// scenario engine's --jobs invariance).
+// the content-addressed response cache, and the telemetry counters.
+// Each caller serves its own line on its own thread, under per-session
+// locks: one session's requests run one at a time, different sessions
+// run in parallel.  Every request sequence produces the same responses
+// at any client thread count (the serving restatement of the scenario
+// engine's --jobs invariance): the canonical finish below makes bytes
+// independent of the tier that served them, and the cache is
+// content-addressed.
+//
+// Lock order: the session table's lock is released before anything
+// else is taken; a session's lock may then be held while taking the
+// cache lock or the stats lock, never the other way round.
 //
 // Three economic tiers per solve request (docs/serving.md):
 //   * exact hit  — the full request key (protocol.h) matches a cached
@@ -20,10 +28,11 @@
 // Determinism of response bytes: every optimal solve is finished
 // *canonically* — after the working solve (warm or cold) lands on an
 // optimal basis, the solution is recomputed from a fresh factorization
-// of that basis (a zero-pivot warm re-solve).  The reported numbers are
-// then a pure function of (LP, optimal basis), so a warm-started repair
-// and a cold solve that reach the same vertex answer with identical
-// bytes, and a cached replay is indistinguishable from a recompute.
+// of that basis, its columns in ascending order (a zero-pivot warm
+// re-solve).  The reported numbers are then a pure function of (LP,
+// optimal basis), so a warm-started repair and a cold solve that reach
+// the same vertex answer with identical bytes, and a cached replay is
+// indistinguishable from a recompute.
 //
 // What a session retains (lp::RetainedSimplex): besides the LP and the
 // canonical basis, the revised-simplex engine built for the LP — its
@@ -52,8 +61,7 @@
 // the worker survives to serve the next line.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,14 +86,10 @@ struct EngineOptions {
   std::size_t cache_entries = scenario::ResultCache::kDefaultMaxEntries;
   /// Cooperative per-request solve deadline in wall ms; 0 disables.
   double request_deadline_ms = 0.0;
-  /// Admission window: how long a submit() leader waits to coalesce
-  /// concurrent requests into one batch.  0 disables coalescing.
-  std::size_t batch_window_us = 200;
-  /// Admission budget: requests concurrently inside submit() (queued in
-  /// the batch window or executing).  A caller arriving at the cap is
-  /// shed with a typed "overloaded" error response instead of queuing —
-  /// the engine's memory and latency stay bounded under a request
-  /// flood.  0 disables shedding (unbounded).
+  /// Admission budget: requests concurrently inside submit().  A caller
+  /// arriving at the cap is shed with a typed "overloaded" error
+  /// response instead of queuing — the engine's memory and latency stay
+  /// bounded under a request flood.  0 disables shedding (unbounded).
   std::size_t max_inflight = 64;
   /// LRU bound on live sessions (the near-hit warm-start state: one
   /// built LP, optimal basis and retained simplex engine per model
@@ -97,9 +101,10 @@ struct EngineOptions {
   std::size_t max_sessions = 256;
 };
 
-/// Per-engine request accounting.  Plain members guarded by the engine
-/// mutex — deterministic for a deterministic request sequence, unlike
-/// the process-wide odometers.  scripts/check_docs.sh gates this field
+/// Per-engine request accounting.  Plain members guarded by the engine's
+/// stats lock, into which each request folds its own delta once —
+/// deterministic for a deterministic request sequence, unlike the
+/// process-wide odometers.  scripts/check_docs.sh gates this field
 /// list against docs/serving.md.
 struct EngineCounters {
   std::uint64_t requests = 0;       ///< lines accepted (any op)
@@ -111,7 +116,6 @@ struct EngineCounters {
   std::uint64_t failures = 0;       ///< solves abandoned (SolveFailure)
   std::uint64_t repair_pivots = 0;  ///< simplex iterations on near hits
   std::uint64_t cold_pivots = 0;    ///< simplex iterations on cold solves
-  std::uint64_t batches = 0;        ///< multi-request admission groups
   std::uint64_t sheds = 0;          ///< requests shed by the admission budget
   std::uint64_t conn_sheds = 0;     ///< connections refused at the accept cap
   std::uint64_t session_evictions = 0;  ///< sessions evicted by the LRU bound
@@ -122,9 +126,10 @@ struct EngineCounters {
 /// start.  For the deterministic per-engine numbers use counters().
 EngineCounters serve_telemetry() noexcept;
 
-/// Request-handling latency summary from a bounded reservoir of recent
-/// samples.  Real wall time — admin/stdout surface only, never part of
-/// a deterministic record.
+/// Request latency summary from a bounded reservoir of recent samples,
+/// each timed from entry to submit()/handle_line to the composed
+/// response, so lock waits count.  Real wall time — admin/stdout
+/// surface only, never part of a deterministic record.
 struct LatencySummary {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -140,19 +145,13 @@ class PolicyEngine {
   PolicyEngine(const PolicyEngine&) = delete;
   PolicyEngine& operator=(const PolicyEngine&) = delete;
 
-  /// Serves one request line; always returns exactly one response line
-  /// (never throws, never returns empty).
+  /// Serves one request line on the calling thread; always returns
+  /// exactly one response line (never returns empty).  Thread-safe.
   std::string handle_line(const std::string& line);
 
-  /// Serves a batch: responses index-aligned with `lines`.  Solve
-  /// requests are grouped by structural key, in first-appearance order,
-  /// so one representative per group solves cold/warm and the rest of
-  /// the group dual-repairs from its basis.
-  std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
-
-  /// Thread-safe entry point with admission coalescing: concurrent
-  /// callers inside one batch window are grouped into a single
-  /// handle_batch.  Blocks until this caller's response is ready.
+  /// handle_line behind the admission budget: a caller arriving with
+  /// max_inflight requests already inside submit() is shed with a typed
+  /// "overloaded" response instead.
   std::string submit(const std::string& line);
 
   /// Folds a server-side event into this engine's counters so `stats`
@@ -163,8 +162,8 @@ class PolicyEngine {
   /// server answered a typed bad-request and closed the connection).
   void note_oversized_line();
 
-  /// Requests currently inside submit() — queued in the admission
-  /// window or executing.  The quantity the max_inflight budget bounds.
+  /// Requests currently inside submit().  The quantity the max_inflight
+  /// budget bounds.
   std::size_t inflight() const;
 
   /// Persists the response cache (no-op for in-memory engines).
@@ -182,32 +181,38 @@ class PolicyEngine {
   struct Session;
   struct Parsed;
 
+  // Every request accumulates its counters in a local `delta`, folded
+  // into counters_ once by record().
   Parsed parse_one(const std::string& line) const;
-  std::string process(Parsed& parsed);
-  std::string process_solve(Parsed& parsed);
-  std::string process_evaluate(const Parsed& parsed);
-  std::string stats_body() const;
+  std::string process(Parsed& parsed, EngineCounters& delta);
+  std::string process_solve(Parsed& parsed, EngineCounters& delta);
+  std::string process_evaluate(const Parsed& parsed, EngineCounters& delta);
+  std::string stats_body(const EngineCounters& delta) const;
 
-  Session& resolve_session(Parsed& parsed);
-  std::string solve_in_session(Session& session, const Request& request);
+  std::shared_ptr<Session> resolve_session(Parsed& parsed,
+                                           EngineCounters& delta);
+  std::string solve_in_session(Session& session, const Request& request,
+                               EngineCounters& delta);
+  bool cache_lookup(std::uint64_t key, std::string& body);
+  void cache_store(std::uint64_t key, const std::string& body);
+  void record(const EngineCounters& delta,
+              double elapsed_ms = -1.0);  // < 0: no latency sample
 
   EngineOptions options_;
 
-  mutable std::mutex mutex_;  // engine state: sessions, cache, counters
-  std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
+  mutable std::mutex table_mutex_;  // sessions_, session_clock_, Session::lru
+  std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t session_clock_ = 0;  // LRU clock for session eviction
+
+  mutable std::mutex cache_mutex_;  // cache_
   std::unique_ptr<scenario::ResultCache> cache_;
+
+  mutable std::mutex stats_mutex_;  // counters_, latency_samples_
   EngineCounters counters_;
   std::vector<double> latency_samples_;  // bounded reservoir, ms
-  bool shutdown_ = false;
 
-  // Admission layer (submit only).
-  struct Slot;
-  mutable std::mutex adm_mutex_;
-  std::condition_variable adm_cv_;
-  std::vector<std::shared_ptr<Slot>> adm_pending_;
-  bool adm_leader_ = false;
-  std::size_t adm_inflight_ = 0;  // submit() callers admitted, not done
+  std::atomic<bool> shutdown_{false};
+  std::atomic<std::size_t> inflight_{0};  // callers inside submit()
 };
 
 }  // namespace dpm::serve

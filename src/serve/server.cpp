@@ -228,7 +228,7 @@ void PolicyServer::serve_connection(int fd) {
         response = engine_.submit(line);
       } catch (...) {
         // Last-resort backstop (the engine's own error paths failed,
-        // e.g. allocation exhaustion mid-batch): answer with a static
+        // e.g. allocation exhaustion mid-request): answer with a static
         // typed error and drop the connection instead of letting the
         // exception terminate the daemon.
         static constexpr char kInternalError[] =

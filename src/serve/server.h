@@ -2,10 +2,11 @@
 //
 // Plain TCP, one JSON request per line, one JSON response per line
 // (protocol.h).  The server owns only sockets and threads — every
-// request is forwarded to a PolicyEngine, whose admission layer
-// coalesces concurrent connections into batches.  One acceptor thread
-// polls with a short timeout so stop() (SIGTERM path in apps/dpmd.cpp)
-// is honored promptly; each connection gets a worker thread, reaped by
+// request is served on its connection's worker thread by a
+// PolicyEngine, which locks per session, so connections working on
+// different designs run in parallel.  One acceptor thread polls with a
+// short timeout so stop() (SIGTERM path in apps/dpmd.cpp) is honored
+// promptly; each connection gets a worker thread, reaped by
 // the acceptor when the connection closes and joined on stop, so
 // shutdown is deterministic and leak-free under ASan/TSan and memory
 // stays bounded under connection churn.

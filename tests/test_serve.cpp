@@ -17,6 +17,7 @@
 // test_fault_injection.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -549,8 +550,9 @@ TEST(ServeEngine, StatsAndShutdownAreServed) {
 
 // The serving path as it was before sessions kept their engine: a
 // supervised solve on a new engine, warm from the session basis, then a
-// supervised canonical finish on another new engine.  Mirrors the
-// engine's session table (LRU bound included) and response bodies.
+// supervised canonical finish (basic columns in ascending order) on
+// another new engine.  Mirrors the engine's session table (LRU bound
+// included) and response bodies.
 class NewEnginePerSolve {
  public:
   explicit NewEnginePerSolve(std::size_t max_sessions)
@@ -600,6 +602,7 @@ class NewEnginePerSolve {
     if (outcome.determined() &&
         outcome.solution.status == lp::LpStatus::kOptimal) {
       lp::SimplexBasis canonical;
+      std::sort(working.basic.begin(), working.basic.end());
       outcome = supervisor.solve(s.lp, &working, &canonical);
       answer.pivots += pivots_of(outcome);
       working = std::move(canonical);

@@ -2,10 +2,11 @@
 //   * N client threads against one in-process PolicyServer produce
 //     responses bitwise-equal to per-request cold solves on a fresh
 //     engine — the serving restatement of --jobs invariance;
-//   * the admission layer's batched results equal the unbatched ones,
-//     at any thread count;
+//   * submit() from any number of threads, and concurrent sessions
+//     under LRU eviction, serve the bytes of per-request cold solves;
 //   * engine pivot counters reconcile exactly with the process-wide
 //     lp::pivots_executed() odometer;
+//   * the admission budget sheds with a typed response;
 //   * every accepted connection has Nagle's algorithm off.
 //
 // Sized for the tsan preset: capacity-2 fleet designs solve in tens of
@@ -20,6 +21,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,7 +96,23 @@ std::string response_body(const std::string& response) {
   return response.substr(at);
 }
 
-// --- admission batching ----------------------------------------------
+// A request whose cold solve (a 2048-column LP, tens of ms in a release
+// build) holds an admission slot long enough for the test to observe.
+std::string long_solve_line(std::size_t variant) {
+  Request r;
+  r.id = "long" + std::to_string(variant);
+  r.op = Op::kOptimize;
+  r.model = serve::fleet_model_spec(variant, /*queue_capacity=*/255);
+  r.discount = 0.999;
+  r.objective = "power";
+  ConstraintSpec queue;
+  queue.metric = "queue_length";
+  queue.bound = 0.5;
+  r.constraints.push_back(queue);
+  return serve::format_request(r);
+}
+
+// --- threads on one engine -------------------------------------------
 
 TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
   const std::vector<std::string> lines = fleet_lines();
@@ -102,7 +121,7 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
     want[i] = cold_reference(lines[i]);
   }
 
-  for (const std::size_t threads : {1u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     PolicyEngine engine{EngineOptions{}};
     std::vector<std::string> got(lines.size());
     std::vector<std::thread> pool;
@@ -116,7 +135,7 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
     for (std::thread& th : pool) th.join();
 
     // Same bytes as a cold solve for every request, whether the engine
-    // served it cold, warm-repaired it in a batch, or replayed it.
+    // served it cold, warm-repaired it, or replayed it.
     for (std::size_t i = 0; i < lines.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "request " << i << " at " << threads
                                  << " threads";
@@ -127,7 +146,7 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
     EXPECT_EQ(counters.rejections, 0u);
     EXPECT_EQ(counters.failures, 0u);
     EXPECT_EQ(counters.evaluations, 1u);
-    // 8 solve requests over 2 structures: however they were batched,
+    // 8 solve requests over 2 structures: however they interleaved,
     // every one either solved cold, warm-repaired, or hit the cache.
     EXPECT_EQ(counters.cold_solves + counters.near_hits + counters.exact_hits,
               lines.size() - 1);
@@ -135,35 +154,111 @@ TEST(ServeConcurrency, ThreadedSubmitMatchesColdSolvesBitwise) {
   }
 }
 
-TEST(ServeConcurrency, BatchedAndSequentialCountersReconcileWithOdometer) {
+TEST(ServeConcurrency, SequentialCountersReconcileWithOdometer) {
   const std::vector<std::string> lines = fleet_lines();
 
   PolicyEngine engine{EngineOptions{}};
   const std::uint64_t pivots_before = lp::pivots_executed();
-  std::vector<std::string> batched = engine.handle_batch(lines);
+  std::vector<std::string> first;
+  for (const std::string& line : lines) {
+    first.push_back(engine.handle_line(line));
+  }
   const std::uint64_t pivots_spent = lp::pivots_executed() - pivots_before;
 
   // The engine's own accounting must explain every pivot the process
-  // odometer saw while serving the batch.
+  // odometer saw while serving the lines.
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.cold_pivots + counters.repair_pivots, pivots_spent);
   EXPECT_GT(counters.cold_pivots, 0u);
 
-  // Replaying the same batch is all exact hits: zero new pivots, same
+  // Replaying the same lines is all exact hits: zero new pivots, same
   // bytes.
   const std::uint64_t replay_before = lp::pivots_executed();
-  std::vector<std::string> replay = engine.handle_batch(lines);
-  EXPECT_EQ(lp::pivots_executed() - replay_before, 0u);
-  ASSERT_EQ(replay.size(), batched.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(replay[i], batched[i]) << "replay " << i;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(engine.handle_line(lines[i]), first[i]) << "replay " << i;
   }
+  EXPECT_EQ(lp::pivots_executed() - replay_before, 0u);
 
-  // And the batch answers match sequential handle_line on a twin.
+  // And a twin engine answers with the same bytes.
   PolicyEngine twin{EngineOptions{}};
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(twin.handle_line(lines[i]), batched[i]) << "sequential " << i;
+    EXPECT_EQ(twin.handle_line(lines[i]), first[i]) << "twin " << i;
   }
+}
+
+// 8 threads walk the constraint bounds of 6 designs through a
+// 2-session engine: exact hits, near hits, evictions of sessions other
+// threads are still solving in, and re-registrations of evicted (and
+// racing) structures all interleave.  Every answer must still be the
+// cold solve's bytes, and the accounting must stay exact.
+TEST(ServeConcurrency, ConcurrentSessionsServeColdBytesAcrossEviction) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRequestsPerThread = 12;
+  const auto line_for = [](std::size_t design, std::size_t step) {
+    Request r;
+    r.id = "d" + std::to_string(design) + "b" + std::to_string(step);
+    r.op = Op::kOptimize;
+    // Designs 0-3: the four parameter tables at capacity 2; 4-5: two of
+    // them at capacity 3.
+    r.model = serve::fleet_model_spec(design % 4, design < 4 ? 2 : 3);
+    r.discount = 0.999;
+    r.objective = "power";
+    ConstraintSpec queue;
+    queue.metric = "queue_length";
+    queue.bound = 0.6 + 0.05 * static_cast<double>(step);
+    r.constraints.push_back(queue);
+    r.want_policy = step % 2 == 0;
+    return serve::format_request(r);
+  };
+  std::vector<std::vector<std::string>> walks(kThreads);
+  std::map<std::string, std::string> want;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    std::mt19937_64 rng(1000 + t);
+    std::size_t design = t % 6;
+    std::size_t step = t % 8;
+    for (std::size_t k = 0; k < kRequestsPerThread; ++k) {
+      if (rng() % 3 == 0) design = rng() % 6;  // hop to another design
+      step = (step + rng() % 3 + 7) % 8;       // bound moves -1, 0 or +1
+      walks[t].push_back(line_for(design, step));
+      want.emplace(walks[t].back(), std::string());
+    }
+  }
+  for (auto& [line, response] : want) response = cold_reference(line);
+
+  EngineOptions opts;
+  opts.max_sessions = 2;
+  PolicyEngine engine(opts);
+  std::vector<std::vector<std::string>> got(kThreads);
+  const std::uint64_t pivots_before = lp::pivots_executed();
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (const std::string& line : walks[t]) {
+        got[t].push_back(engine.submit(line));
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  const std::uint64_t pivots_spent = lp::pivots_executed() - pivots_before;
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < kRequestsPerThread; ++k) {
+      EXPECT_EQ(got[t][k], want[walks[t][k]])
+          << "thread " << t << " request " << k;
+    }
+  }
+  const EngineCounters counters = engine.counters();
+  const std::uint64_t requests = kThreads * kRequestsPerThread;
+  EXPECT_EQ(counters.requests, requests);
+  EXPECT_EQ(counters.failures, 0u);
+  EXPECT_EQ(counters.rejections, 0u);
+  EXPECT_EQ(counters.cold_solves + counters.near_hits + counters.exact_hits,
+            requests);
+  EXPECT_GT(counters.session_evictions, 0u);
+  EXPECT_GT(counters.near_hits, 0u);
+  EXPECT_GT(counters.exact_hits, 0u);
+  EXPECT_EQ(counters.cold_pivots + counters.repair_pivots, pivots_spent);
+  EXPECT_LE(engine.num_sessions(), 2u);
 }
 
 // --- admission shedding ----------------------------------------------
@@ -171,14 +266,13 @@ TEST(ServeConcurrency, BatchedAndSequentialCountersReconcileWithOdometer) {
 TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
   EngineOptions opts;
   opts.max_inflight = 1;
-  opts.batch_window_us = 300000;  // hold the leader long enough to observe
   PolicyEngine engine(opts);
 
-  const std::string solve = fleet_lines().front();
   std::string admitted;
-  std::thread leader([&] { admitted = engine.submit(solve); });
-  // Wait until the leader holds the only admission slot (it sits in the
-  // batch window), then submit over the budget: a deterministic shed.
+  std::thread leader([&] { admitted = engine.submit(long_solve_line(0)); });
+  // Wait until the leader holds the only admission slot (it is busy
+  // with a long cold solve), then submit over the budget: a
+  // deterministic shed.
   for (int tries = 0; engine.inflight() == 0 && tries < 1000; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -202,15 +296,26 @@ TEST(ServeConcurrency, SubmitShedsAtInflightCapWithTypedResponse) {
 TEST(ServeConcurrency, SubmitFloodShedsStayAccountableAndWellFormed) {
   EngineOptions opts;
   opts.max_inflight = 2;
-  opts.batch_window_us = 100000;
   PolicyEngine engine(opts);
 
-  const std::vector<std::string> lines = fleet_lines();
-  constexpr std::size_t kThreads = 4;
-  std::vector<std::string> responses(kThreads);
-  std::atomic<std::size_t> ready{0};
+  // Two long cold solves hold the whole budget...
+  constexpr std::size_t kHolders = 2;
+  std::vector<std::string> responses(kHolders + 4);
   std::vector<std::thread> pool;
-  for (std::size_t t = 0; t < kThreads; ++t) {
+  for (std::size_t t = 0; t < kHolders; ++t) {
+    pool.emplace_back(
+        [&, t] { responses[t] = engine.submit(long_solve_line(t)); });
+  }
+  for (int tries = 0; engine.inflight() < kHolders && tries < 1000; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(engine.inflight(), kHolders);
+
+  // ...while four more submitters arrive at once.
+  const std::vector<std::string> lines = fleet_lines();
+  const std::size_t kThreads = responses.size();
+  std::atomic<std::size_t> ready{kHolders};
+  for (std::size_t t = kHolders; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       ++ready;
       while (ready.load() < kThreads) std::this_thread::yield();
@@ -229,9 +334,9 @@ TEST(ServeConcurrency, SubmitFloodShedsStayAccountableAndWellFormed) {
           << response;
     }
   }
-  // Four simultaneous submitters against a budget of two, with a batch
-  // window holding the leader open: someone must have been shed, and
-  // the counters must account for every line exactly once.
+  // Six submitters against a budget of two, two of them holding it:
+  // someone must have been shed, and the counters must account for
+  // every line exactly once.
   EXPECT_GE(overloaded, 1u);
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.sheds, overloaded);
