@@ -11,13 +11,17 @@
 #      non-stats responses and an exact-hit ratio > 0.5 for the pass;
 #   4. SIGTERM shuts the server down cleanly (exit 0, "shutdown clean",
 #      cache flushed to disk);
-#   5. an unresolvable --bind and an unknown flag are usage errors
+#   5. a restarted dpmd on the same --cache-dir replays the transcript
+#      from the flushed cache: byte-identical non-stats responses and an
+#      exact-hit ratio > 0.5, so request keys are stable across
+#      processes;
+#   6. an unresolvable --bind and an unknown flag are usage errors
 #      (exit 2);
-#   6. overload: a daemon with tiny caps rejects an oversized line with
+#   7. overload: a daemon with tiny caps rejects an oversized line with
 #      a typed bad-request, sheds a connection flood past
 #      --max-connections with typed overloaded lines while staying
 #      responsive, and still shuts down cleanly on SIGTERM;
-#   7. (when a bench_serve_load path is given) the open-loop driver at
+#   8. (when a bench_serve_load path is given) the open-loop driver at
 #      0.5x/1x/2x saturation against a --max-inflight 2 daemon: typed
 #      request sheds, bounded admitted p99, stats round-trips under
 #      load — the driver exits nonzero if any of that fails.
@@ -47,6 +51,20 @@ fail() {
   exit 1
 }
 
+# wait_for_banner <server-output> <pid> <label>: sets ${port} from the
+# server's listening banner, failing if it exits or stays silent 5 s.
+wait_for_banner() {
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/^dpmd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+              "$1")"
+    [[ -n "${port}" ]] && return 0
+    kill -0 "$2" 2>/dev/null || fail "$3 exited before binding"
+    sleep 0.05
+  done
+  fail "no $3 banner within 5s"
+}
+
 # --- 1. start the server on an ephemeral port -------------------------
 "${dpmd}" --print-example-transcript > transcript.txt ||
   fail "--print-example-transcript failed"
@@ -56,16 +74,7 @@ requests="$(wc -l < transcript.txt)"
 
 "${dpmd}" --port 0 --cache-dir cachedir > server.out 2>&1 &
 server_pid=$!
-
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/^dpmd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-            server.out)"
-  [[ -n "${port}" ]] && break
-  kill -0 "${server_pid}" 2>/dev/null || fail "server exited before binding"
-  sleep 0.05
-done
-[[ -n "${port}" ]] || fail "no listening banner within 5s"
+wait_for_banner server.out "${server_pid}" "server"
 
 # --- 2. first pass: every request answered, none rejected -------------
 "${dpmd}" --connect "127.0.0.1:${port}" --transcript transcript.txt \
@@ -111,7 +120,30 @@ grep -q '^dpmd: shutdown clean$' server.out ||
 ls cachedir/* >/dev/null 2>&1 ||
   fail "no response cache flushed to cachedir on shutdown"
 
-# --- 5. unresolvable --bind is a usage error (exit 2) -----------------
+# --- 5. restart on the same cache: the flushed keys still hit ---------
+"${dpmd}" --port 0 --cache-dir cachedir > server.out 2>&1 &
+server_pid=$!
+wait_for_banner server.out "${server_pid}" "restarted server"
+"${dpmd}" --connect "127.0.0.1:${port}" --transcript transcript.txt \
+  > pass3.out || fail "post-restart transcript replay exited nonzero"
+grep -v '"counters"' pass3.out > pass3.cmp
+cmp -s pass1.cmp pass3.cmp ||
+  fail "post-restart responses are not byte-identical to the first pass"
+# A fresh process counts from zero, and stats is the transcript's last
+# line, so its exact_hits covers the whole pass.
+restart_hits="$(grep -o '"exact_hits":[0-9]*' pass3.out | tail -1 | cut -d: -f2)"
+[[ -n "${restart_hits}" ]] || fail "post-restart stats carry no exact_hits"
+if (( 2 * restart_hits <= requests )); then
+  fail "post-restart exact-hit ratio ${restart_hits}/${requests} is not > 0.5"
+fi
+kill -TERM "${server_pid}"
+server_exit=0
+wait "${server_pid}" || server_exit=$?
+server_pid=""
+[[ "${server_exit}" -eq 0 ]] ||
+  fail "restarted server exited ${server_exit} on SIGTERM, want 0"
+
+# --- 6. unresolvable --bind is a usage error (exit 2) -----------------
 bind_exit=0
 "${dpmd}" --bind no-such-host.invalid --port 0 > bind.out 2>&1 || bind_exit=$?
 [[ "${bind_exit}" -eq 2 ]] ||
@@ -124,20 +156,12 @@ flag_exit=0
 [[ "${flag_exit}" -eq 2 ]] ||
   fail "--batch-window-us exited ${flag_exit}, want 2 (unknown flag)"
 
-# --- 6. overload: bounded line, connection-flood sheds, clean stop ----
+# --- 7. overload: bounded line, connection-flood sheds, clean stop ----
 "${dpmd}" --port 0 --no-cache --max-connections 1 --max-line-bytes 512 \
   > server2.out 2>&1 &
 server2_pid=$!
-port2=""
-for _ in $(seq 1 100); do
-  port2="$(sed -n 's/^dpmd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-             server2.out)"
-  [[ -n "${port2}" ]] && break
-  kill -0 "${server2_pid}" 2>/dev/null ||
-    fail "overload server exited before binding"
-  sleep 0.05
-done
-[[ -n "${port2}" ]] || fail "no overload-server banner within 5s"
+wait_for_banner server2.out "${server2_pid}" "overload server"
+port2="${port}"
 
 # 6a. a newline-free oversized line: typed bad-request, connection drop.
 exec 5<>"/dev/tcp/127.0.0.1/${port2}" ||
@@ -205,20 +229,12 @@ server2_pid=""
 grep -q '^dpmd: shutdown clean$' server2.out ||
   fail "overload server did not print the clean-shutdown banner"
 
-# --- 7. open-loop load driver at 0.5x/1x/2x saturation ----------------
+# --- 8. open-loop load driver at 0.5x/1x/2x saturation ----------------
 if [[ -n "${loadgen}" ]]; then
   "${dpmd}" --port 0 --no-cache --max-inflight 2 > server3.out 2>&1 &
   server2_pid=$!
-  port3=""
-  for _ in $(seq 1 100); do
-    port3="$(sed -n 's/^dpmd: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-               server3.out)"
-    [[ -n "${port3}" ]] && break
-    kill -0 "${server2_pid}" 2>/dev/null ||
-      fail "loadgen server exited before binding"
-    sleep 0.05
-  done
-  [[ -n "${port3}" ]] || fail "no loadgen-server banner within 5s"
+  wait_for_banner server3.out "${server2_pid}" "loadgen server"
+  port3="${port}"
 
   "${loadgen}" --smoke --connect "127.0.0.1:${port3}" --expect-sheds \
     --duration-ms 300 > loadgen.out 2>&1 ||
@@ -236,4 +252,4 @@ if [[ -n "${loadgen}" ]]; then
     fail "loadgen server did not print the clean-shutdown banner"
 fi
 
-echo "test_serve_cli: OK (${requests} requests, ${pass_hits} exact hits on replay, ${flood} connection sheds)"
+echo "test_serve_cli: OK (${requests} requests, ${pass_hits} exact hits on replay, ${restart_hits} after restart, ${flood} connection sheds)"

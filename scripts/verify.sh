@@ -35,7 +35,8 @@
 #                                # example transcript twice over TCP,
 #                                # assert exit codes, an exact-hit ratio
 #                                # > 0.5 on the replay pass, and a clean
-#                                # SIGTERM shutdown
+#                                # SIGTERM shutdown; then restart on the
+#                                # flushed cache and replay once more
 #
 # Full mode is the tier-1 gate plus the sanitizer sweep and the fault
 # matrix; --quick is the edit-compile-check loop (every gtest suite

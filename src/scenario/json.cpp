@@ -1,9 +1,11 @@
 #include "scenario/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace dpm::scenario {
 
@@ -279,11 +281,23 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
-    // strtod needs a NUL-terminated buffer; the slice is short.
-    const std::string slice(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(slice.c_str(), &end);
-    if (end != slice.c_str() + slice.size()) fail("malformed number");
+    // Parse the slice in place, without a heap copy.  from_chars takes
+    // no leading '+', which strtod accepts; skip it unless a sign
+    // follows, so "+-1" stays malformed as under strtod.
+    const char* first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    if (*first == '+' && last - first > 1 && first[1] != '-') ++first;
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range && end == last) {
+      // from_chars leaves v unset on overflow/underflow, where strtod
+      // returns +-HUGE_VAL or the nearest denormal/zero; keep strtod's
+      // values ("1e999" is inf, "1e-400" is 0) via a NUL-terminated copy.
+      const std::string slice(first, last);
+      v = std::strtod(slice.c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
+      fail("malformed number");
+    }
     return JsonValue::number(v);
   }
 };

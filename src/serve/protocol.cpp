@@ -417,11 +417,14 @@ std::uint64_t structural_request_key(
 
 std::uint64_t solve_request_key(std::uint64_t structural_key,
                                 const lp::LpProblem& lp, bool want_policy) {
+  // The structural key fixes the matrix, costs, bounds and senses, so
+  // only the rhs is hashed: O(rows), not O(nnz).
   sim::Fnv1a h;
   h.add_u64(kProtocolVersion);
-  h.add_string("solve");
+  h.add_string("solve-rhs");
   h.add_u64(structural_key);
-  lp.hash_into(h);
+  h.add_size(lp.num_constraints());
+  for (const lp::Constraint& c : lp.constraints()) h.add_double(c.rhs);
   h.add_u64(want_policy ? 1 : 0);
   return h.digest();
 }

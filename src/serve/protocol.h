@@ -34,10 +34,12 @@
 //     most in rhs data (initial distribution, constraint bounds), so a
 //     basis from one warm-starts another (the boxed dual repairs the
 //     moved rhs) and the engine keeps one session per key.
-//   * the *full* key adds the assembled LP (costs, rhs, bounds — the
-//     constraint point) and the response-shape flags; it fronts the
-//     scenario::ResultCache, so an exact repeat replays the recorded
-//     response bytes with zero simplex pivots.
+//   * the *full* key adds the rhs of every LP row (the constraint
+//     point) and the response-shape flag.  The session's LP is a pure
+//     function of the structural key, so the matrix, costs and bounds
+//     need no hashing and the key costs O(rows), not O(nnz).  It
+//     fronts the scenario::ResultCache, so an exact repeat replays the
+//     recorded response bytes with zero simplex pivots.
 #pragma once
 
 #include <cstdint>
@@ -155,8 +157,10 @@ std::uint64_t structural_request_key(
     const SystemModel& model, double discount, const std::string& objective,
     const std::vector<ConstraintSpec>& constraints);
 
-/// Full solve key: the structural key plus the assembled LP (costs,
-/// rhs, bounds — the constraint point) and the response-shape flags.
+/// Full solve key: H(version, structural key, every row's rhs — the
+/// constraint point — and the response-shape flag).  The caller's LP
+/// must be the one the structural key fixes: its matrix, costs and
+/// bounds are not hashed, so the key costs O(rows), not O(nnz).
 std::uint64_t solve_request_key(std::uint64_t structural_key,
                                 const lp::LpProblem& lp, bool want_policy);
 

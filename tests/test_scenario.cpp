@@ -3,12 +3,17 @@
 // agreement on the disk case study, the registry-wide smoke gate
 // (every registered scenario runs its smoke grid and passes its
 // expected-shape assertions), content-hash properties of the result
-// cache keys, and the cache round-trip/poisoning contract.
+// cache keys, the cache round-trip/poisoning contract, and JSON number
+// parsing bit-for-bit against strtod.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +27,7 @@
 #include "lp/revised_simplex.h"
 #include "markov/sparse_chain.h"
 #include "scenario/cache.h"
+#include "scenario/json.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
@@ -460,6 +466,52 @@ TEST(ResultCache, PoisonedRecordIsDetectedAndRecomputed) {
   const ScenarioRunResult healed =
       ExperimentRunner(cached_smoke(dir)).run_one(*sc);
   EXPECT_EQ(healed.units_cached, healed.units);
+}
+
+// ---------------------------------------------------------------------
+// JSON number parsing (the wire and cache-record reader)
+// ---------------------------------------------------------------------
+
+// The parser reads numbers in place with std::from_chars; strtod is the
+// reference it replaced, so every accepted string must yield strtod's
+// exact bits, out-of-range ones included, and malformed ones must
+// still throw.
+TEST(JsonParse, NumbersMatchStrtodBitForBit) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const auto expect_strtod_bits = [&](const char* text) {
+    char* end = nullptr;
+    const double want = std::strtod(text, &end);
+    ASSERT_EQ(*end, '\0') << text;
+    double got = 0.0;
+    ASSERT_NO_THROW(got = scenario::JsonValue::parse(text).as_number())
+        << text;
+    ASSERT_EQ(bits(got), bits(want)) << text;
+  };
+
+  std::mt19937_64 gen(20260417);
+  const char* const formats[] = {"%.17g", "%.6g", "%.20e"};
+  char buf[64];
+  std::size_t patterns = 0;
+  while (patterns < 200000) {
+    const double d = std::bit_cast<double>(gen());
+    if (!std::isfinite(d)) continue;
+    ++patterns;
+    for (const char* format : formats) {
+      std::snprintf(buf, sizeof buf, format, d);
+      expect_strtod_bits(buf);
+    }
+  }
+
+  for (const char* edge :
+       {"1e999", "-1e999", "1e-400", "2.4703282292062327e-324", "4.9e-324",
+        "-0", "1.", "-.5", "00012", "1E5", "1e+5", "+5", "+.5"}) {
+    expect_strtod_bits(edge);
+  }
+
+  for (const char* bad : {"1e", "--1", "1.2.3", "1e+", "-", "1e5.5", "+",
+                          "+-1", "++1"}) {
+    EXPECT_THROW(scenario::JsonValue::parse(bad), scenario::JsonError) << bad;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -299,16 +300,48 @@ TEST(ServeKeys, SolveKeySeparatesBoundsAndResponseShape) {
   for (const auto& c : base.constraints) {
     cons.push_back({serve::metric_by_name(model, c.metric), c.bound, c.name});
   }
-  lp::LpProblem lp =
-      optimizer.build_lp(serve::metric_by_name(model, base.objective), cons);
-
+  const auto build = [&](const std::string& objective) {
+    return optimizer.build_lp(serve::metric_by_name(model, objective), cons);
+  };
+  const lp::LpProblem lp = build(base.objective);
   const std::uint64_t structural = structural_key_of(base);
-  const std::uint64_t full = serve::solve_request_key(structural, lp, false);
+  const auto key_of = [&](const lp::LpProblem& problem) {
+    return serve::solve_request_key(structural, problem, false);
+  };
+
+  const std::uint64_t full = key_of(lp);
   EXPECT_NE(serve::solve_request_key(structural, lp, true), full);
 
-  lp::LpProblem moved = lp;
-  moved.set_rhs(0, lp.constraints()[0].rhs + 0.125);
-  EXPECT_NE(serve::solve_request_key(structural, moved, false), full);
+  // (a) Another structure with the same rhs is another answer.
+  Request other = base;
+  other.objective = "queue_length";
+  ASSERT_NE(structural_key_of(other), structural);
+  EXPECT_NE(serve::solve_request_key(structural_key_of(other), lp, false),
+            full);
+
+  // (b) One ulp on a balance row (p0) or on a metric row (bound) moves
+  // the constraint point, and with it the key.
+  const std::size_t metric_row = model.num_states();
+  for (const std::size_t row : {std::size_t{0}, metric_row}) {
+    lp::LpProblem moved = lp;
+    const double rhs = lp.constraints()[row].rhs;
+    moved.set_rhs(row, std::nextafter(rhs, rhs + 1.0));
+    EXPECT_NE(key_of(moved), full) << "row " << row;
+  }
+
+  // (c) -0.0 and +0.0 are one rhs.
+  lp::LpProblem plus_zero = lp;
+  lp::LpProblem minus_zero = lp;
+  plus_zero.set_rhs(0, 0.0);
+  minus_zero.set_rhs(0, -0.0);
+  EXPECT_EQ(key_of(plus_zero), key_of(minus_zero));
+
+  // (d) The structural key owns the matrix, costs and bounds: editing
+  // them under the same structural key and rhs leaves the key alone.
+  EXPECT_EQ(key_of(build("queue_length")), full);
+  lp::LpProblem capped = lp;
+  capped.set_upper_bound(0, 0.5);
+  EXPECT_EQ(key_of(capped), full);
 }
 
 TEST(ServeKeys, EvaluateKeyCoversPolicyAndMetricList) {
@@ -369,6 +402,21 @@ TEST(ServeEngine, ExactHitReplaysByteIdenticalWithZeroPivots) {
   const std::string other_body = other.substr(other.find("\"status\""));
   EXPECT_EQ(other_body, cold_body);
   EXPECT_NE(other, cold);
+
+  // Two structures sent with the same initial distribution and bound
+  // share every rhs, yet each is its own cold solve, not one exact hit.
+  // (Dropping the throughput floor makes variant 0 a new structure too.)
+  for (const std::size_t variant : {std::size_t{0}, std::size_t{1}}) {
+    Request twin = r;
+    twin.model = serve::fleet_model_spec(variant, /*queue_capacity=*/2);
+    twin.constraints.pop_back();
+    const std::string response =
+        engine.handle_line(serve::format_request(twin));
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(engine.counters().cold_solves, 3u);
+  EXPECT_EQ(engine.counters().exact_hits, 2u);
 }
 
 TEST(ServeEngine, ModelRefReoptimizeWarmStartsTheSession) {
