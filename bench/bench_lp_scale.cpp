@@ -382,9 +382,6 @@ int main(int argc, char** argv) {
                rev.iterations, sweep_per_iter);
     report.add("ft-update n*na=" + std::to_string(nna), stats.update_ms,
                stats.ft_updates, maint_per_iter);
-    std::printf("  %-10s %9s   %zu rows / %zu cols removed before the solve\n",
-                "", "presolve", stats.presolve_rows_removed,
-                stats.presolve_cols_removed);
     report.add("hypersparse n*na=" + std::to_string(nna),
                100.0 * sparse_frac,
                static_cast<std::size_t>(stats.sparse_sweeps),
@@ -392,11 +389,6 @@ int main(int argc, char** argv) {
     report.add("dense-block n*na=" + std::to_string(nna), block_pct,
                static_cast<std::size_t>(stats.block_sweeps),
                static_cast<double>(stats.block_entries));
-    report.add("presolve n*na=" + std::to_string(nna),
-               static_cast<double>(stats.presolve_rows_removed),
-               stats.presolve_cols_removed,
-               static_cast<double>(stats.presolve_rows_removed +
-                                   stats.presolve_cols_removed));
     report.add("end-to-end revised n*na=" + std::to_string(nna),
                asm_ms + crash_ms, crash.iterations, scaled_crash);
   }

@@ -15,7 +15,10 @@
 #   3. Every RecoveryRung enumerator in src/robust/outcome.h appears in
 #      both docs/robustness.md and the solver README's failure-
 #      semantics section — the escalation ladder is a documented
-#      contract, not an implementation detail.
+#      contract, not an implementation detail — and every rung the
+#      numbered ladder lists in those two documents (a "N. `kName`"
+#      line) is a RecoveryRung enumerator, so a deleted rung cannot
+#      linger in the docs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,8 +68,23 @@ while IFS= read -r rung; do
     fi
   done
 done <<< "${rungs}"
+for doc in docs/robustness.md src/lp/README.md; do
+  listed="$(grep -oE '^[0-9]+\. `k[A-Za-z0-9]*`' "${doc}" |
+            grep -oE 'k[A-Za-z0-9]*' || true)"
+  if [[ -z "${listed}" ]]; then
+    echo "check_robust: FAIL — no numbered rung ladder found in ${doc}" >&2
+    fail=1
+  fi
+  while IFS= read -r rung; do
+    [[ -z "${rung}" ]] && continue
+    if ! grep -qx "${rung}" <<< "${rungs}"; then
+      echo "check_robust: FAIL — ${doc} lists rung ${rung}, which is not a RecoveryRung enumerator" >&2
+      fail=1
+    fi
+  done <<< "${listed}"
+done
 
 if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
-echo "check_robust: OK (no abort/exit on the solve path, FaultSite and RecoveryRung documented)"
+echo "check_robust: OK (no abort/exit on the solve path, FaultSite and RecoveryRung documented, no stale rung listed)"

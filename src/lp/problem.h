@@ -141,9 +141,10 @@ struct LpSolution {
   /// by the revised-simplex backend on optimal termination: y_i is
   /// dObjective/drhs_i at the final basis (<= 0 for binding `<=` rows of
   /// a minimization, >= 0 for `>=`, free for `=`; 0 for slack rows).
-  /// Rows the solver absorbed into the bound set report 0 — run the
-  /// presolve path (cold solves do by default) for exact bound-row
-  /// multipliers.  Other backends leave this empty.
+  /// Singleton rows the solver absorbed into the bound set report their
+  /// exact multipliers too: a binding one takes up its column's reduced
+  /// cost, so KKT holds on the problem as posed.  Other backends leave
+  /// this empty.
   linalg::Vector duals;
   /// Machine-readable failure note, empty on success.  Set alongside the
   /// failure statuses so robust::SolveSupervisor can type the failure

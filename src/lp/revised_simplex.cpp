@@ -12,7 +12,6 @@
 
 #include "linalg/indexed_vector.h"
 #include "linalg/sparse_lu.h"
-#include "lp/presolve.h"
 #include "robust/probe.h"
 
 namespace dpm::lp {
@@ -72,15 +71,13 @@ class RevisedSimplex {
     // --- bound setup + singleton-row absorption ----------------------
     upper_struct_ = problem_upper_;
     std::vector<char> keep_row(p.num_constraints(), 1);
-    if (opt_.absorb_singleton_rows) {
-      for (std::size_t i = 0; i < p.num_constraints(); ++i) {
-        bool judged = false;
-        if (!absorb_row(p.constraints()[i], keep_row[i], judged)) {
-          infeasible_by_bounds_ = true;
-          return;
-        }
-        if (judged) rhs_judged_rows_.emplace_back(i, p.constraints()[i].rhs);
+    for (std::size_t i = 0; i < p.num_constraints(); ++i) {
+      bool judged = false;
+      if (!absorb_row(i, p.constraints()[i], keep_row[i], judged)) {
+        infeasible_by_bounds_ = true;
+        return;
       }
+      if (judged) rhs_judged_rows_.emplace_back(i, p.constraints()[i].rhs);
     }
 
     // --- row remap + structural columns ------------------------------
@@ -169,7 +166,6 @@ class RevisedSimplex {
         p.num_constraints() != row_map_.size() ||
         opt.refactor_interval != opt_.refactor_interval ||
         opt.refactor_work_ratio != opt_.refactor_work_ratio ||
-        opt.absorb_singleton_rows != opt_.absorb_singleton_rows ||
         opt.feas_tol != opt_.feas_tol || p.upper_bounds() != problem_upper_) {
       return false;
     }
@@ -189,13 +185,11 @@ class RevisedSimplex {
     std::fill(at_upper_.begin(), at_upper_.end(), 0);
     crash_seeded_.clear();
     xb_.clear();
-    devex_.clear();
     dse_w_.clear();
     y_.clear();
     y_pivots_ = 0;
     y_stale_ = true;
     price_start_ = 0;
-    section_size_ = 0;
     return true;
   }
 
@@ -483,33 +477,11 @@ class RevisedSimplex {
     return worst;
   }
 
-  /// True when the cold slack/artificial basis is already dual feasible:
-  /// its basic columns all cost zero, so y = 0 exactly, and every
-  /// at-lower nonbasic prices at rc_j = c_j >= 0.  The MDP LPs (all
-  /// nonnegative power/latency costs) hit this on every cold solve.
-  bool dual_cold_eligible() const {
-    // Disabled after measurement: on the balance-equation LPs the
-    // phase-1-free dual route runs ~2x the pivots of classic two-phase
-    // (each paying an extra steepest-edge ftran), a 4x wall-time loss
-    // at n*na = 20k.  The boxed dual earns its keep on warm repairs,
-    // where the pivot count is small by construction; cold solves keep
-    // the primal phases.  (It also selects a different vertex on
-    // degenerate optima, which the small case studies are sensitive
-    // to.)  Kept compilable behind this gate for future experiments.
-    constexpr bool kDualColdStart = false;
-    if (!kDualColdStart || m_ < 512) return false;
-    for (std::size_t j = 0; j < n_struct_; ++j) {
-      if (cost2_[j] < 0.0) return false;
-    }
-    return true;
-  }
-
-  /// Phase-1-free cold start support: an explicit zero upper bound
-  /// makes the boxed dual see a basic artificial at positive value as a
-  /// bound violation and drive it out — the feasibility work of phase 1
-  /// done by dual pivots that simultaneously optimize phase 2's cost.
-  /// uncap restores the implicit-cap convention the primal phases use;
-  /// it MUST run before falling back to classic phase 1 (a finite zero
+  /// Warm and crash starts: an explicit zero upper bound makes the
+  /// boxed dual see a basic artificial at positive value as a bound
+  /// violation and drive it out, never as free flow.  uncap restores
+  /// the implicit-cap convention the primal phases use; it MUST run
+  /// before falling back to the cold two-phase path (a finite zero
   /// bound would freeze artificials in the phase-1 ratio test).
   void cap_artificials() {
     for (std::size_t j = first_artificial_; j < n_cols_; ++j) {
@@ -575,7 +547,6 @@ class RevisedSimplex {
     std::size_t stall = 0;
     bool bland = false;
     double best_obj = std::numeric_limits<double>::infinity();
-    if (devex_pricing()) devex_.assign(n_cols_, 1.0);
     y_stale_ = true;
 
     while (res.iterations < opt_.max_iterations) {
@@ -673,13 +644,12 @@ class RevisedSimplex {
                 : 0;
         xb_[leave] = at_upper_[enter] ? upper_[enter] - theta : theta;
 
-        // One sparse btran of the pivot row serves both the Devex
-        // weight update and the incremental dual update.
+        // One sparse btran of the pivot row drives the incremental
+        // dual update.
         linalg::IndexedVector& rho = rhowork_;
         rho.clear();
         rho.set(leave, 1.0);
         solve_btran(rho);
-        if (devex_pricing() && !bland) update_devex(enter, leave, d, rho);
         const double theta_d = enter_rc / d.values[leave];
         for (const std::size_t k : rho.pattern) {
           y_[k] += theta_d * rho.values[k];
@@ -723,9 +693,8 @@ class RevisedSimplex {
   }
 
   /// Boxed dual simplex from a dual-feasible basis — the warm-restart
-  /// engine after a rhs move or a bound change, and (via the capped
-  /// artificials of the dual-cold path) a phase-1 replacement whenever
-  /// the cold basis already prices dual feasible.  The leaving basic is
+  /// engine after a rhs move or a bound change, and the repair of a
+  /// crash seed that prices dual feasible.  The leaving basic is
   /// chosen by dual steepest edge (violation^2 / ||B^{-T}e_i||^2, exact
   /// Forrest–Goldfarb weight recurrence); the dual ratio test runs over
   /// bounded nonbasics at both bounds; and candidates whose whole bound
@@ -1047,16 +1016,28 @@ class RevisedSimplex {
     sol.objective = p.objective(sol.x);
     // Shadow prices: y = B^{-T} c_B, computed fresh from the final basis
     // (y_ may serve a different cost vector mid-phase), then mapped back
-    // through the row remap.  Absorbed singleton rows report 0 — the
-    // presolve postsolve reconstructs those from reduced costs instead.
+    // through the row remap.
     sol.duals.assign(p.num_constraints(), 0.0);
+    linalg::Vector y(m_, 0.0);
     if (m_ > 0) {
-      linalg::Vector y(m_, 0.0);
       for (std::size_t i = 0; i < m_; ++i) y[i] = cost2_[basis_[i]];
       factor_.btran(y);
       for (std::size_t i0 = 0; i0 < p.num_constraints(); ++i0) {
         if (row_map_[i0] != kNone) sol.duals[i0] = y[row_map_[i0]];
       }
+    }
+    // An absorbed row binds when its column rests at the bound the row
+    // set (at_upper_, or a bound clamped to zero) and still prices
+    // attractive (rc_j < 0): the row's multiplier rc_j / a takes up
+    // that reduced cost exactly, c_j - a_j'y = 0 with the row counted.
+    for (const AbsorbedRow& r : absorbed_rows_) {
+      const std::size_t j = r.col;
+      if (in_basis_[j] || upper_[j] != r.bound ||
+          !(at_upper_[j] || upper_[j] == 0.0)) {
+        continue;
+      }
+      const double rc = cost2_[j] - column_dot(j, y);
+      if (rc < 0.0) sol.duals[r.row] = rc / r.coeff;
     }
     return sol;
   }
@@ -1071,8 +1052,10 @@ class RevisedSimplex {
   /// false when the row alone is infeasible against x >= 0; sets `keep`
   /// to 0 when the row is absorbed or redundant, and `judged` when the
   /// outcome depended on the row's rhs (an empty or inequality
-  /// singleton row).
-  bool absorb_row(const Constraint& c, char& keep, bool& judged) {
+  /// singleton row).  A row that tightens its column's upper bound is
+  /// recorded in absorbed_rows_ for extract()'s multipliers.
+  bool absorb_row(std::size_t row, const Constraint& c, char& keep,
+                  bool& judged) {
     // Count structural terms with nonzero coefficients.
     std::size_t nz = 0;
     std::size_t var = 0;
@@ -1104,7 +1087,11 @@ class RevisedSimplex {
       // (beyond the feasibility tolerance; a within-tolerance negative
       // bound clamps to "fixed at zero").
       if (bound < -opt_.feas_tol) return false;
-      upper_struct_[var] = std::min(upper_struct_[var], std::max(bound, 0.0));
+      const double clamped = std::max(bound, 0.0);
+      if (clamped < upper_struct_[var]) {
+        upper_struct_[var] = clamped;
+        absorbed_rows_.push_back({row, var, coeff, clamped});
+      }
       keep = 0;
     } else if (bound <= opt_.feas_tol) {
       keep = 0;  // x_var >= bound <~ 0: implied by nonnegativity
@@ -1125,18 +1112,10 @@ class RevisedSimplex {
     return !in_basis_[j] && upper_[j] > 0.0;
   }
 
-  /// Devex reference weights active (full-scan or fused with partial
-  /// sections)?
-  bool devex_pricing() const noexcept {
-    return opt_.pricing == RevisedSimplexOptions::Pricing::kSteepestEdge ||
-           opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex;
-  }
-
   /// Entering-column selection.  Returns {kNone, 0} at optimality.
-  /// Bland mode always scans everything by index (anti-cycling); Devex
-  /// scans everything weighted; Dantzig scans everything; partial
-  /// pricing scans rotating sections and returns the best candidate of
-  /// the first section that has one.
+  /// Bland mode scans everything by index (anti-cycling); otherwise
+  /// pricing scans rotating sections and returns the largest violation
+  /// of the first section that has a candidate.
   std::pair<std::size_t, double> price(const linalg::Vector& cost,
                                        const linalg::Vector& y, bool bland) {
     const auto reduced_cost = [&](std::size_t j) {
@@ -1155,47 +1134,34 @@ class RevisedSimplex {
       }
       return {kNone, 0.0};
     }
-    const bool devex = devex_pricing();
-    const bool partial =
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartial ||
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex;
     const std::size_t section =
-        !partial ? first_artificial_
-                 : (opt_.partial_section != 0
-                        ? opt_.partial_section
-                        : std::max<std::size_t>(
-                              256, 4 * static_cast<std::size_t>(std::sqrt(
-                                       static_cast<double>(
-                                           first_artificial_)))));
+        opt_.partial_section != 0
+            ? opt_.partial_section
+            : std::max<std::size_t>(
+                  256, 4 * static_cast<std::size_t>(std::sqrt(
+                               static_cast<double>(first_artificial_))));
 
     std::size_t enter = kNone;
     double enter_rc = 0.0;
-    double best_score = 0.0;
     std::size_t scanned = 0;
-    std::size_t j = partial ? price_start_ % first_artificial_ : 0;
-    while (scanned < first_artificial_) {
+    std::size_t j = price_start_ % first_artificial_;
+    while (scanned < first_artificial_ && enter == kNone) {
       const std::size_t chunk =
           std::min(section, first_artificial_ - scanned);
       for (std::size_t k = 0; k < chunk; ++k) {
         if (price_eligible(j)) {
           const double rc = reduced_cost(j);
-          if (attractive(j, rc)) {
-            double score = std::abs(rc);
-            if (devex) score = rc * rc / devex_[j];
-            if (enter == kNone || score > best_score) {
-              best_score = score;
-              enter = j;
-              enter_rc = rc;
-            }
+          if (attractive(j, rc) &&
+              (enter == kNone || std::abs(rc) > std::abs(enter_rc))) {
+            enter = j;
+            enter_rc = rc;
           }
         }
         if (++j == first_artificial_) j = 0;
       }
       scanned += chunk;
-      if (partial && enter != kNone) break;
     }
-    if (partial) price_start_ = j;
-    section_size_ = section;
+    price_start_ = j;
     return {enter, enter_rc};
   }
 
@@ -1245,44 +1211,6 @@ class RevisedSimplex {
     }
   }
 
-  /// Devex reference-weight update (Forrest–Goldfarb approximation of
-  /// steepest edge): consumes the pivot row `rho` the caller already
-  /// btran'd for the incremental dual update (no extra sweep).  Under
-  /// fused partial pricing the weight propagation is restricted to the
-  /// section the *next* pricing pass will scan first (the rotation
-  /// makes that section known now), so the candidates about to compete
-  /// carry weights reflecting this pivot at the same cost as the scan
-  /// itself.  Columns beyond the next section keep stale (smaller)
-  /// weights, which only makes them look slightly more attractive when
-  /// their turn comes — a bias, not an error.
-  void update_devex(std::size_t enter, std::size_t leave,
-                    const linalg::IndexedVector& d,
-                    const linalg::IndexedVector& rho) {
-    const double dr = d.values[leave];
-    if (std::abs(dr) < 1e-12) return;
-    const double wq = devex_[enter];
-    const bool restrict_scan =
-        opt_.pricing == RevisedSimplexOptions::Pricing::kPartialDevex &&
-        section_size_ < first_artificial_;
-    const std::size_t count =
-        restrict_scan ? section_size_ : first_artificial_;
-    double max_w = 0.0;
-    std::size_t j = restrict_scan ? price_start_ % first_artificial_ : 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (!in_basis_[j] && j != enter) {
-        const double alpha = column_dot(j, rho.values);
-        if (alpha != 0.0) {
-          const double cand = (alpha / dr) * (alpha / dr) * wq;
-          if (cand > devex_[j]) devex_[j] = cand;
-          max_w = std::max(max_w, devex_[j]);
-        }
-      }
-      if (++j == first_artificial_) j = 0;
-    }
-    devex_[basis_[leave]] = std::max(wq / (dr * dr), 1.0);
-    if (max_w > 1e8) devex_.assign(n_cols_, 1.0);  // reference reset
-  }
-
   RevisedSimplexOptions opt_;
   const LpProblem* source_;  // the problem this standard form encodes
   std::size_t m_ = 0;
@@ -1295,6 +1223,15 @@ class RevisedSimplex {
   std::vector<std::size_t> row_map_;  // original row -> engine row / kNone
   // Rows whose absorption was decided by their rhs, with that rhs.
   std::vector<std::pair<std::size_t, double>> rhs_judged_rows_;
+  // Rows absorbed into a column's upper bound, in the order they
+  // tightened it; only the last one for a column can bind.
+  struct AbsorbedRow {
+    std::size_t row;  // original row index
+    std::size_t col;  // the structural column it bounds
+    double coeff;     // the row's coefficient on that column
+    double bound;     // the upper bound it set, clamped at zero
+  };
+  std::vector<AbsorbedRow> absorbed_rows_;
   linalg::Vector rhs_;
   linalg::Vector problem_upper_;  // the problem's own bounds
   linalg::Vector upper_struct_;  // structural bounds incl. absorbed rows
@@ -1306,10 +1243,7 @@ class RevisedSimplex {
   std::vector<char> in_basis_;
   std::vector<char> crash_seeded_;  // structural columns a crash seeded
   linalg::Vector xb_;
-  linalg::Vector devex_;
   std::size_t price_start_ = 0;
-  std::size_t section_size_ = 0;  // last pricing section, for the
-                                  // section-local Devex weight update
   // Row-wise mirror of cols_[0..first_artificial_) for the dual ratio
   // test's support-driven alpha accumulation.
   std::vector<linalg::SparseColumn> rows_;
@@ -1389,11 +1323,10 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       return sol;
     }
     if (installed) {
-      // The basis may carry artificials basic at zero: a presolve-
-      // recovered basis re-enters removed equality rows that way, and
-      // drive-out leaves one on each truly redundant row.  Cap them so
-      // the boxed dual sees any artificial mass as a zero-bound
-      // violation to repair, never as free flow.
+      // The basis may carry artificials basic at zero: drive-out
+      // leaves one on each truly redundant row.  Cap them so the boxed
+      // dual sees any artificial mass as a zero-bound violation to
+      // repair, never as free flow.
       engine.cap_artificials();
       engine.recompute_xb();
       if (engine.dual_infeasibility() <= 1e-6) {
@@ -1533,54 +1466,6 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
   }
   engine.recompute_xb();
 
-  if (need_phase1 && engine.dual_cold_eligible()) {
-    // Dual-cold start: the slack/artificial basis is dual feasible at
-    // y = 0, so the boxed dual simplex (artificials capped at zero)
-    // reaches feasibility *and* optimality in one run of pivots,
-    // skipping primal phase 1 entirely.  Any other outcome — including
-    // a dual infeasibility claim — falls back to the classic two-phase
-    // path, which owns the status certificates.
-    engine.cap_artificials();
-    const auto rd = engine.dual(opt.max_iterations);
-    sol.iterations += rd.iterations;
-    if (rd.status == LpStatus::kNumericalFailure ||
-        rd.status == LpStatus::kDeadline) {
-      // Numerical trouble (or an expired deadline) must surface, not
-      // silently reroute through the two-phase path with a different
-      // pivot trajectory — the supervised retry reproduces this one.
-      sol.status = rd.status;
-      sol.note = rd.note;
-      return sol;
-    }
-    if (rd.status == LpStatus::kOptimal) {
-      engine.drive_out_artificials();
-      const auto rp = engine.primal(engine.phase2_cost(),
-                                    /*artificial_cap=*/true);
-      sol.iterations += rp.iterations;
-      if (rp.status == LpStatus::kNumericalFailure ||
-          rp.status == LpStatus::kDeadline) {
-        sol.status = rp.status;
-        sol.note = rp.note;
-        return sol;
-      }
-      if (rp.status == LpStatus::kOptimal) {
-        const std::size_t iters = sol.iterations;
-        sol = engine.extract(problem);
-        sol.iterations = iters;
-        engine.save_basis(basis_out);
-        return sol;
-      }
-    }
-    engine.uncap_artificials();
-    engine.install_cold_basis();
-    if (!engine.refactorize()) {
-      sol.status = LpStatus::kNumericalFailure;
-      sol.note = "singular-refactorization";
-      return sol;
-    }
-    engine.recompute_xb();
-  }
-
   if (need_phase1) {
     const auto r1 = engine.primal(engine.phase1_cost(),
                                   /*artificial_cap=*/false);
@@ -1689,46 +1574,6 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
   }
   const double t0 = now_ms();
   if (options.stats != nullptr) *options.stats = SimplexStats{};
-
-  // --- structural presolve (cold solves only) ------------------------
-  // Warm starts skip it: the caller's basis is laid out over the *full*
-  // problem's standard form, and a short dual repair beats re-reducing.
-  // Crash seeds skip it for the same reason — the nominated columns
-  // index the full problem, and the seed already does presolve's job of
-  // shortcutting the solve.
-  if (options.presolve && (warm == nullptr || warm->empty()) &&
-      options.crash_columns == nullptr) {
-    Presolve ps;
-    const PresolveStatus pst = ps.reduce(problem, options.feas_tol);
-    if (pst != PresolveStatus::kUnchanged) {
-      LpSolution out;
-      if (pst == PresolveStatus::kInfeasible) {
-        out.status = LpStatus::kInfeasible;
-      } else if (pst == PresolveStatus::kUnbounded) {
-        out.status = LpStatus::kUnbounded;
-      } else if (pst == PresolveStatus::kEmpty) {
-        out = ps.postsolve(LpSolution{}, nullptr, basis_out,
-                           options.absorb_singleton_rows);
-      } else {
-        RevisedSimplexOptions inner = options;
-        inner.presolve = false;  // the reduction is already a fixpoint
-        inner.retained = nullptr;  // another problem: its own engine
-        SimplexBasis red_basis;
-        const LpSolution red =
-            solve_revised_simplex(ps.reduced(), inner, nullptr, &red_basis);
-        out = ps.postsolve(red, &red_basis, basis_out,
-                           options.absorb_singleton_rows);
-      }
-      if (options.stats != nullptr) {
-        options.stats->presolve_rows_removed = ps.rows_removed();
-        options.stats->presolve_cols_removed = ps.cols_removed();
-        options.stats->solve_ms = now_ms() - t0;
-        options.stats->iterations = out.iterations;
-      }
-      audit_finite(out);
-      return out;
-    }
-  }
 
   LpSolution sol = solve_once(problem, options, warm, basis_out);
   if (sol.status != LpStatus::kIterationLimit) {

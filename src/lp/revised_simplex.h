@@ -14,7 +14,9 @@
 // limited by the entering variable's own bound becomes a bound *flip*
 // (no basis change, no factorization update).  Singleton rows
 // (a * x_j <= b and friends) are absorbed into the bound set during
-// setup, shrinking the basis instead of wasting a row on them.
+// setup, shrinking the basis instead of wasting a row on them; a
+// binding absorbed row still reports its exact multiplier (see
+// LpSolution::duals).
 //
 // Warm starts: the optimal basis of a solved instance can be fed back to
 // solve a neighboring instance (same matrix and senses; rhs *and*
@@ -62,9 +64,6 @@ struct SimplexStats {
   // dense-tail arithmetic volume).
   std::uint64_t block_sweeps = 0;
   std::uint64_t block_entries = 0;
-  // Presolve reductions applied before the simplex saw the problem.
-  std::size_t presolve_rows_removed = 0;
-  std::size_t presolve_cols_removed = 0;
   // Crash-basis telemetry: whether a crash seed survived installation
   // (nonsingular, adopted), and how many crash-seeded structural
   // columns were still basic at optimality — each one is a column the
@@ -154,35 +153,15 @@ struct RevisedSimplexOptions {
   /// cheap bases and keeps sweeps near fresh-factor cost on heavy
   /// ones.
   double refactor_work_ratio = 1.0;
-  enum class Pricing {
-    kDantzig,       // most negative reduced cost, full scan
-    kPartial,       // Dantzig over rotating sections (partial pricing)
-    kPartialDevex,  // Devex weights over rotating sections
-    kSteepestEdge,  // Devex reference weights, full scan
-  };
-  /// Partial pricing default: a full scan touches every column's sparse
-  /// dot product per iteration, which dominates once columns outnumber
-  /// rows; scanning a rotating section finds an entering column of
-  /// almost the same quality at a fraction of the cost.  kPartialDevex
-  /// fuses the two orthogonal ideas: the *section* bounds how many
-  /// columns an iteration prices, the *Devex reference weights* rank
-  /// the candidates within it by estimated edge steepness rather than
-  /// raw reduced cost (weight updates are likewise restricted to the
-  /// scanned section, so their cost stays proportional to the scan).
-  Pricing pricing = Pricing::kPartial;
-  /// Columns per partial-pricing section; 0 picks a size proportional
-  /// to sqrt(#columns) (at least 256).
+  /// Columns per pricing section; 0 picks a size proportional to
+  /// sqrt(#columns) (at least 256).  Pricing scans the columns in
+  /// rotating sections and enters the largest reduced-cost violation of
+  /// the first section that has a candidate; Bland's rule takes over on
+  /// a stall.  A full scan touches every column's sparse dot product per
+  /// iteration, which dominates once columns outnumber rows; a section
+  /// finds an entering column of almost the same quality at a fraction
+  /// of the cost.
   std::size_t partial_section = 0;
-  /// Absorb singleton constraint rows (one structural term) into the
-  /// variable bound set instead of keeping them as basis rows.
-  bool absorb_singleton_rows = true;
-  /// Run the structural presolve (src/lp/presolve.h) before cold
-  /// solves: empty/singleton/redundant/forcing rows and
-  /// fixed/empty/dominated/duplicate columns are eliminated, the
-  /// reduced problem is solved, and postsolve restores the full
-  /// primal/dual solution plus a warm-startable basis.  Warm starts
-  /// always bypass it (the supplied basis spans the full problem).
-  bool presolve = true;
   /// Switch to Bland's rule after this many non-improving iterations.
   std::size_t stall_limit = 64;
   /// Abort (caller retries perturbed) after this many non-improving
@@ -200,16 +179,15 @@ struct RevisedSimplexOptions {
   /// optimizer derives these from a few policy-iteration steps — the
   /// occupation-measure columns of the greedy deterministic policy form
   /// a nonsingular (I - gamma P)^T sub-basis over the balance rows.  A
-  /// crash solve bypasses presolve (like a warm start, the seed spans
-  /// the full problem); a singular or malformed seed falls back to the
-  /// ordinary cold start.  Ignored when a warm basis is supplied.
+  /// singular or malformed seed falls back to the ordinary cold start.
+  /// Ignored when a warm basis is supplied.
   const std::vector<std::size_t>* crash_columns = nullptr;
   /// Optional retained engine (see RetainedSimplex), like `stats` a
   /// caller-owned handle rather than a tuning option: the solve runs on
   /// the handle's engine and leaves it there for the next solve of the
   /// same LP.  Results are bitwise those of a solve without it.  Only
-  /// the full problem's own engine is retained — a presolve-reduced
-  /// solve and the perturbed degeneracy retries build their own.
+  /// the problem's own engine is retained — the perturbed degeneracy
+  /// retries build their own.
   RetainedSimplex* retained = nullptr;
 };
 

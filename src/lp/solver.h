@@ -1,7 +1,7 @@
 // Solver facade: one entry point, selectable backend.
 //
 // See src/lp/README.md for the backend-selection matrix, the pricing
-// options, and the warm-start contract.
+// rule, and the warm-start contract.
 #pragma once
 
 #include "lp/interior_point.h"
@@ -15,7 +15,7 @@ namespace dpm::lp {
 enum class Backend {
   /// Sparse revised simplex (the default, and the backend behind
   /// `PolicyOptimizer`): two-phase primal plus a boxed dual simplex,
-  /// Forrest–Tomlin-updated Markowitz LU basis, partial/Devex pricing,
+  /// Forrest–Tomlin-updated Markowitz LU basis, partial pricing,
   /// native bounded variables, warm-startable via `SimplexBasis`.
   kRevisedSimplex,
   /// Dense two-phase tableau — the small, auditable reference

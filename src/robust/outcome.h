@@ -42,7 +42,7 @@ const char* to_string(FailureReason r) noexcept;
 /// strictly "colder" (more conservative, more expensive) way to ask the
 /// same question of the same model.
 enum class RecoveryRung : std::uint8_t {
-  kPlain = 0,          ///< as requested: warm basis if provided, presolve on
+  kPlain = 0,          ///< as requested: warm basis if provided
   kRetryRefactorize,   ///< the exact same configuration again, every
                        ///< factorization rebuilt from scratch: heals
                        ///< transient (e.g. consumed single-shot injected)
@@ -52,11 +52,10 @@ enum class RecoveryRung : std::uint8_t {
   kColdRestart,        ///< drop the warm basis, fresh start from scratch
   kPerturb,            ///< solve a deterministically perturbed copy,
                        ///< objective re-evaluated on the original problem
-  kNoPresolve,         ///< presolve disabled (isolates presolve bugs)
   kCrossCheck,         ///< independent backend: dense tableau (small
                        ///< problems) or interior point
 };
-inline constexpr std::size_t kNumRecoveryRungs = 6;
+inline constexpr std::size_t kNumRecoveryRungs = 5;
 
 const char* to_string(RecoveryRung r) noexcept;
 

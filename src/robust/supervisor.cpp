@@ -59,7 +59,6 @@ const char* to_string(RecoveryRung r) noexcept {
     case RecoveryRung::kRetryRefactorize: return "retry-refactorize";
     case RecoveryRung::kColdRestart: return "cold-restart";
     case RecoveryRung::kPerturb: return "perturb";
-    case RecoveryRung::kNoPresolve: return "no-presolve";
     case RecoveryRung::kCrossCheck: return "cross-check";
   }
   return nullptr;
@@ -222,17 +221,7 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
     return done();
   }
 
-  // Rung 5: presolve off — isolates presolve/postsolve trouble and
-  // changes the pivot trajectory from the first iteration.
-  if (attempt(RecoveryRung::kNoPresolve, [&] {
-        lp::RevisedSimplexOptions opts = cold_opts();
-        opts.presolve = false;
-        return lp::solve_revised_simplex(problem, opts, nullptr, basis_out);
-      })) {
-    return done();
-  }
-
-  // Rung 6: an independent backend answers instead.
+  // Rung 5: an independent backend answers instead.
   if (options_.allow_cross_check) {
     attempt(RecoveryRung::kCrossCheck, [&] {
       if (problem.num_variables() <= options_.cross_check_tableau_limit) {

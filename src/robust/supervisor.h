@@ -3,11 +3,11 @@
 // or a typed SolveFailure, never an escaping exception or an abort.
 //
 // Ladder (see RecoveryRung in outcome.h):
-//   1. kPlain             — as requested: warm basis if provided,
-//                           presolve on, and the caller's retained
-//                           simplex engine if one is passed in the
-//                           options (lp::RetainedSimplex).  Later rungs
-//                           always build their own engine.
+//   1. kPlain             — as requested: warm basis if provided, and
+//                           the caller's retained simplex engine if
+//                           one is passed in the options
+//                           (lp::RetainedSimplex).  Later rungs always
+//                           build their own engine.
 //   2. kRetryRefactorize  — the same configuration again with every
 //                           factorization rebuilt; a transient fault
 //                           (consumed single-shot injection) re-solves
@@ -20,9 +20,7 @@
 //   4. kPerturb           — deterministic rhs perturbation breaks
 //                           degenerate wedges; the objective is
 //                           re-evaluated on the original problem.
-//   5. kNoPresolve        — presolve off; isolates presolve/postsolve
-//                           trouble.
-//   6. kCrossCheck        — an independent backend answers instead: the
+//   5. kCrossCheck        — an independent backend answers instead: the
 //                           dense tableau below
 //                           `cross_check_tableau_limit` columns, the
 //                           interior point above it.
@@ -44,8 +42,7 @@
 namespace dpm::robust {
 
 struct SupervisorOptions {
-  /// Base options applied to every simplex rung (presolve is forced off
-  /// on the kNoPresolve rung regardless of this value).
+  /// Base options applied to every simplex rung.
   lp::RevisedSimplexOptions lp;
   /// Preferred backend for the kPlain rung.  kInteriorPoint and
   /// kSimplex failures escalate straight onto the simplex ladder — this

@@ -73,9 +73,6 @@ TEST(BoundedSimplex, OptimumAtUpperBoundsViaBoundFlips) {
   SimplexStats stats;
   RevisedSimplexOptions opt;
   opt.stats = &stats;
-  // Presolve would solve this instance outright (it empties the LP);
-  // this test targets the engine's bound-flip path, so bypass it.
-  opt.presolve = false;
   const LpSolution s = solve_revised_simplex(p, opt);
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.x[x], 1.5, 1e-12);
@@ -98,13 +95,28 @@ TEST(BoundedSimplex, SingletonRowsAbsorbedIntoBounds) {
   ASSERT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_NEAR(s.objective, -2.0, 1e-9);
 
-  // Turning absorption off must give the same answer through explicit
-  // rows.
-  RevisedSimplexOptions no_absorb;
-  no_absorb.absorb_singleton_rows = false;
-  const LpSolution s2 = solve_revised_simplex(p, no_absorb);
-  ASSERT_EQ(s2.status, LpStatus::kOptimal);
-  EXPECT_NEAR(s2.objective, -2.0, 1e-9);
+  // The dense tableau keeps every row explicit and must agree.
+  const LpSolution ref = solve_simplex(p);
+  ASSERT_EQ(ref.status, LpStatus::kOptimal);
+  EXPECT_NEAR(s.objective, ref.objective, 1e-9);
+
+  // Row duals must certify the optimum (KKT): each reduced cost
+  // c_j - sum_i a_ij y_i is <= 0 at the upper-bound side and >= 0 at
+  // zero, with y_i <= 0 on every <= row.  The absorbed row x <= 1
+  // binds at x = 1 and carries a real multiplier.
+  ASSERT_EQ(s.duals.size(), p.num_constraints());
+  std::vector<double> rc(p.costs().begin(), p.costs().end());
+  for (std::size_t i = 0; i < p.num_constraints(); ++i) {
+    EXPECT_LE(s.duals[i], 1e-9) << "row " << i;
+    for (const auto& [j, v] : p.constraints()[i].terms) {
+      rc[j] -= v * s.duals[i];
+    }
+  }
+  for (std::size_t j = 0; j < p.num_variables(); ++j) {
+    if (s.x[j] > 1e-9) EXPECT_LE(rc[j], 1e-9) << "col " << j;
+    EXPECT_GE(rc[j], -1e-9) << "col " << j;  // no column has a bound
+  }
+  EXPECT_NEAR(s.x[x], 1.0, 1e-9);
 }
 
 TEST(BoundedSimplex, InfeasibleByContradictoryBound) {

@@ -455,8 +455,7 @@ TEST(RetainedSimplex, ReusedEngineSolvesLikeANewOne) {
   const std::size_t n = model.num_states();
   const double horizon = 1.0 / (1.0 - config.discount);
 
-  RevisedSimplexOptions fresh;
-  fresh.presolve = false;
+  const RevisedSimplexOptions fresh;
   RetainedSimplex handle;
   RevisedSimplexOptions kept = fresh;
   kept.retained = &handle;
