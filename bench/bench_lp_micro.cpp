@@ -11,7 +11,6 @@
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "dpm/value_iteration.h"
-#include "lp/solver.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/sr_extractor.h"
@@ -45,17 +44,6 @@ void BM_SolveDiskPolicy_Simplex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveDiskPolicy_Simplex)->Unit(benchmark::kMillisecond);
-
-void BM_SolveDiskPolicy_InteriorPoint(benchmark::State& state) {
-  const SystemModel m = cases::DiskDrive::make_model();
-  OptimizerConfig cfg = cases::DiskDrive::make_config(m, 0.999);
-  cfg.backend = lp::Backend::kInteriorPoint;
-  const PolicyOptimizer opt(m, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt.minimize_power(0.5, 0.05));
-  }
-}
-BENCHMARK(BM_SolveDiskPolicy_InteriorPoint)->Unit(benchmark::kMillisecond);
 
 // Polynomial scaling in the state count: SR memory k doubles the states.
 void BM_SolvePolicy_ScalingInStates(benchmark::State& state) {

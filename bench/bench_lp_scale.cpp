@@ -45,7 +45,8 @@
 #include "cases/disk_drive.h"
 #include "dpm/crash.h"
 #include "dpm/optimizer.h"
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
 #include "markov/sparse_chain.h"
 
 using namespace dpm;

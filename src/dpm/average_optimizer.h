@@ -23,9 +23,7 @@ namespace dpm {
 
 class AverageCostOptimizer {
  public:
-  explicit AverageCostOptimizer(
-      const SystemModel& model,
-      lp::Backend backend = lp::Backend::kRevisedSimplex);
+  explicit AverageCostOptimizer(const SystemModel& model);
 
   /// Minimizes the long-run average of `objective` under per-step
   /// constraints.  Fields of OptimizationResult are per-step averages;
@@ -56,7 +54,6 @@ class AverageCostOptimizer {
 
  private:
   const SystemModel* model_;
-  lp::Backend backend_;
 };
 
 }  // namespace dpm

@@ -45,15 +45,13 @@ std::vector<double> achieved_per_step(
 /// converts it into a structured unit failure instead of this code
 /// silently treating a broken solve as "infeasible".
 lp::LpSolution supervised_solve(const lp::LpProblem& problem,
-                                lp::Backend backend,
                                 const lp::SimplexBasis* warm = nullptr,
                                 lp::SimplexBasis* basis_out = nullptr,
                                 const std::vector<std::size_t>* crash =
                                     nullptr) {
   robust::SupervisorOptions opts;
-  opts.backend = backend;
-  // Crash seed (revised simplex only; other backends ignore it).  The
-  // supervisor's cold-restart and later rungs drop it themselves.
+  // Crash seed.  The supervisor's cold-restart and later rungs drop it
+  // themselves.
   opts.lp.crash_columns = crash;
   const robust::SolveSupervisor supervisor(opts);
   robust::SolveOutcome outcome = supervisor.solve(problem, warm, basis_out);
@@ -201,15 +199,14 @@ OptimizationResult PolicyOptimizer::minimize(
   // greedy policy on purpose — the engine's repair path absorbs
   // whatever infeasibility that leaves, or falls back cold.
   std::vector<std::size_t> crash_cols;
-  if (config_.backend == lp::Backend::kRevisedSimplex &&
-      model_->num_states() * model_->num_commands() >= kCrashMinColumns) {
+  if (model_->num_states() * model_->num_commands() >= kCrashMinColumns) {
     const std::vector<std::size_t> actions = greedy_crash_actions(
         model_->chain().sparse(), objective, config_.discount);
     crash_cols = crash_columns_for_lp(actions, model_->num_commands(),
                                       problem.num_constraints());
   }
   const lp::LpSolution lp_sol =
-      supervised_solve(problem, config_.backend, nullptr, nullptr,
+      supervised_solve(problem, nullptr, nullptr,
                        crash_cols.empty() ? nullptr : &crash_cols);
 
   OptimizationResult result;
@@ -259,30 +256,9 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
   std::vector<ParetoPoint> curve;
   curve.reserve(sweep_bounds.size());
 
-  if (config_.backend != lp::Backend::kRevisedSimplex) {
-    // Backends without a warm-start contract: cold-solve every point.
-    for (const double bound : sweep_bounds) {
-      std::vector<OptimizationConstraint> constraints = fixed_constraints;
-      constraints.push_back({swept, bound, swept_name});
-      OptimizationResult r = minimize(objective, constraints);
-      ParetoPoint pt;
-      pt.bound = bound;
-      pt.feasible = r.feasible;
-      pt.lp_iterations = r.lp_iterations;
-      if (r.feasible) {
-        pt.objective = r.objective_per_step;
-        pt.policy = std::move(r.policy);
-        pt.constraint_per_step = std::move(r.constraint_per_step);
-        pt.frequencies = std::move(r.frequencies);
-      }
-      curve.push_back(std::move(pt));
-    }
-    return curve;
-  }
-
-  // Warm-started path: the LP matrix is identical across the sweep (the
-  // swept constraint is the last row; only its rhs moves), so each point
-  // restarts the revised simplex from the previous optimal basis.
+  // The LP matrix is identical across the sweep (the swept constraint
+  // is the last row; only its rhs moves), so each point restarts the
+  // revised simplex from the previous optimal basis.
   std::vector<OptimizationConstraint> constraints = fixed_constraints;
   constraints.push_back(
       {swept, sweep_bounds.empty() ? 0.0 : sweep_bounds.front(), swept_name});
@@ -297,8 +273,7 @@ std::vector<PolicyOptimizer::ParetoPoint> PolicyOptimizer::sweep(
     lp.set_rhs(swept_row, bound * horizon);
     lp::SimplexBasis next;
     const lp::LpSolution s =
-        supervised_solve(lp, lp::Backend::kRevisedSimplex,
-                         basis.empty() ? nullptr : &basis, &next);
+        supervised_solve(lp, basis.empty() ? nullptr : &basis, &next);
     ParetoPoint pt;
     pt.bound = bound;
     pt.lp_iterations = s.iterations;

@@ -22,7 +22,7 @@
 
 #include "dpm/metrics.h"
 #include "dpm/policy.h"
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
 
 namespace dpm {
 
@@ -39,7 +39,6 @@ struct OptimizerConfig {
   double discount = 0.99999;
   /// Initial state distribution p0; empty means uniform.
   linalg::Vector initial_distribution;
-  lp::Backend backend = lp::Backend::kRevisedSimplex;
 };
 
 struct OptimizationResult {
@@ -63,8 +62,8 @@ class PolicyOptimizer {
   /// General form: minimize a metric subject to per-step constraints.
   ///
   /// Every solve runs under robust::SolveSupervisor: transient
-  /// numerical trouble (singular refactorization, non-finite values, an
-  /// IPM Cholesky breakdown) is healed by the escalation ladder with a
+  /// numerical trouble (singular refactorization, non-finite values, a
+  /// degenerate stall) is healed by the escalation ladder with a
   /// bit-identical objective where possible; an outcome the ladder
   /// cannot determine surfaces as lp::LpError rather than masquerading
   /// as infeasibility.  See docs/robustness.md.
@@ -104,14 +103,13 @@ class PolicyOptimizer {
   /// `fixed_constraints`, minimizing `objective` at each point — the
   /// paper's tradeoff-curve exploration (Figs. 6, 8b, 9a, 9b).
   ///
-  /// With the revised-simplex backend the LP is built once and each
-  /// point after the first warm-starts from the previous optimal basis
-  /// (only the swept constraint's rhs changes), so subsequent points
-  /// cost a handful of boxed-dual-simplex pivots instead of a cold
-  /// solve.  The warm-start contract also survives variable-bound
-  /// changes (`LpProblem::set_upper_bound` between solves), so sweeps
-  /// over bounded formulations stay warm too — see the warm-start
-  /// section of src/lp/README.md.
+  /// The LP is built once and each point after the first warm-starts
+  /// from the previous optimal basis (only the swept constraint's rhs
+  /// changes), so subsequent points cost a handful of boxed-dual-simplex
+  /// pivots instead of a cold solve.  The warm-start contract also
+  /// survives variable-bound changes (`LpProblem::set_upper_bound`
+  /// between solves), so sweeps over bounded formulations stay warm too
+  /// — see the warm-start section of src/lp/README.md.
   std::vector<ParetoPoint> sweep(
       const StateActionMetric& objective, const StateActionMetric& swept,
       std::string swept_name, const std::vector<double>& sweep_bounds,

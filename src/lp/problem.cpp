@@ -159,26 +159,6 @@ LpProblem bounds_as_rows(const LpProblem& problem) {
   return copy;
 }
 
-LpProblem perturbed_copy(const LpProblem& problem, double eps) {
-  LpProblem copy;
-  for (std::size_t j = 0; j < problem.num_variables(); ++j) {
-    copy.add_variable(problem.costs()[j], problem.variable_name(j));
-    copy.set_upper_bound(j, problem.upper_bounds()[j]);
-  }
-  double scale = 1.0;
-  for (const Constraint& c : problem.constraints()) {
-    scale = std::max(scale, std::abs(c.rhs));
-  }
-  std::size_t i = 0;
-  for (Constraint c : problem.constraints()) {
-    c.rhs += eps * static_cast<double>(i + 1) * scale /
-             static_cast<double>(problem.num_constraints());
-    copy.add_constraint(std::move(c));
-    ++i;
-  }
-  return copy;
-}
-
 const char* to_string(LpStatus s) noexcept {
   switch (s) {
     case LpStatus::kOptimal:

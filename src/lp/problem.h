@@ -46,8 +46,8 @@ class LpProblem {
 
   /// Caps variable `j` at `upper` (>= 0; +inf restores the default).
   /// The revised simplex handles finite bounds natively (nonbasic-at-
-  /// bound states and bound flips — no extra row); the dense tableau and
-  /// interior-point backends solve the `bounds_as_rows` reformulation.
+  /// bound states and bound flips — no extra row); the dense tableau
+  /// solves the `bounds_as_rows` reformulation.
   void set_upper_bound(std::size_t j, double upper);
 
   const linalg::Vector& upper_bounds() const noexcept { return upper_; }
@@ -105,8 +105,8 @@ class LpProblem {
 };
 
 /// Reformulates finite upper bounds as explicit `x_j <= u_j` rows and
-/// clears the bound vector — the reference formulation for backends
-/// without native bound handling, and the comparison target of the
+/// clears the bound vector — the formulation the dense tableau solves,
+/// which has no native bound handling, and the comparison target of the
 /// bounded-variable tests.
 LpProblem bounds_as_rows(const LpProblem& problem);
 
@@ -116,12 +116,10 @@ enum class LpStatus {
   kUnbounded,
   kIterationLimit,
   /// The solver hit a numerical wall it could not pivot through:
-  /// singular refactorization, non-finite values mid-solve, or an IPM
-  /// Cholesky breakdown.  Deliberately distinct from kIterationLimit
-  /// (which the revised simplex remedies with perturbed retries):
-  /// numerical failures are handed to robust::SolveSupervisor, whose
-  /// escalation ladder retries the *exact* problem colder instead of a
-  /// perturbed one, so recovered objectives stay bit-identical.
+  /// singular refactorization or non-finite values mid-solve.  Like
+  /// kIterationLimit it is handed to robust::SolveSupervisor, whose
+  /// escalation ladder retries the *exact* problem colder, so recovered
+  /// objectives stay bit-identical.
   kNumericalFailure,
   /// The cooperative per-unit wall-clock deadline expired mid-solve
   /// (robust::deadline_expired(), polled in the pivot loops).  Never
@@ -143,22 +141,14 @@ struct LpSolution {
   /// a minimization, >= 0 for `>=`, free for `=`; 0 for slack rows).
   /// Singleton rows the solver absorbed into the bound set report their
   /// exact multipliers too: a binding one takes up its column's reduced
-  /// cost, so KKT holds on the problem as posed.  Other backends leave
-  /// this empty.
+  /// cost, so KKT holds on the problem as posed.  The dense tableau
+  /// leaves this empty.
   linalg::Vector duals;
   /// Machine-readable failure note, empty on success.  Set alongside the
   /// failure statuses so robust::SolveSupervisor can type the failure
   /// without parsing exception text: "singular-refactorization",
-  /// "nonfinite-values", "cholesky-breakdown", "deadline".
+  /// "nonfinite-values", "deadline".
   const char* note = nullptr;
 };
-
-/// Deterministically perturbed copy: rhs_i += eps * (i+1) * scale / m,
-/// with scale = max |rhs|.  The classical anti-cycling remedy both
-/// simplex backends retry with when a heavily degenerate basis stalls
-/// (policy LPs are degenerate by construction: most initial-distribution
-/// entries are zero).  Objectives move by O(eps * m * horizon), far
-/// below any quantity the library reports.
-LpProblem perturbed_copy(const LpProblem& problem, double eps);
 
 }  // namespace dpm::lp

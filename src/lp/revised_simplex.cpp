@@ -266,25 +266,24 @@ class RevisedSimplex {
     return count;
   }
 
-  bool install_warm_basis(const SimplexBasis& warm) {
-    if (warm.basic.size() != m_) return false;
-    std::vector<char> seen(n_cols_, 0);
-    for (const std::size_t j : warm.basic) {
-      if (j >= n_cols_) return false;
-      if (seen[j] != 0) return false;  // repeated column: structural junk
-      seen[j] = 1;
+  /// Installs `basic` (in ascending column order, see run_phases) with
+  /// the nonbasic bound flags `at_upper`.
+  bool install_warm_basis(const std::vector<std::size_t>& basic,
+                          const std::vector<char>& at_upper) {
+    if (basic.size() != m_) return false;
+    if (!basic.empty() && basic.back() >= n_cols_) return false;
+    if (std::adjacent_find(basic.begin(), basic.end()) != basic.end()) {
+      return false;  // repeated column: structural junk
     }
-    basis_ = warm.basic;
+    basis_ = basic;
     // Restore nonbasic bound status.  Only columns whose bound is
     // finite *now* may rest at upper — a bound relaxed to +inf since
     // the basis was saved drops its column to the lower bound (the
     // dual-feasibility gate below falls back cold if that breaks
     // optimality conditions).
     std::fill(at_upper_.begin(), at_upper_.end(), 0);
-    if (warm.at_upper.size() == n_cols_) {
-      for (const std::size_t j : finite_ub_cols_) {
-        at_upper_[j] = warm.at_upper[j];
-      }
+    if (at_upper.size() == n_cols_) {
+      for (const std::size_t j : finite_ub_cols_) at_upper_[j] = at_upper[j];
     }
     rebuild_in_basis();
     for (const std::size_t j : basis_) at_upper_[j] = 0;
@@ -682,7 +681,7 @@ class RevisedSimplex {
         bland = false;
       } else if (++stall >=
                  (bland ? opt_.bland_stall_abort : opt_.stall_limit)) {
-        if (bland) return res;  // give up; caller retries perturbed
+        if (bland) return res;  // give up; the supervisor escalates
         bland = true;
         stall = 0;
         // Anti-cycling wants the sharpest reduced costs available.
@@ -1309,11 +1308,16 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
       sol.note = "warm-basis-corrupted";
       return sol;
     }
-    // A retained engine whose LU is current for exactly this basis
-    // (the canonical basis its last solve ended on) adopts that LU
-    // instead of rebuilding it.
-    const bool reusable = engine.lu_current() && engine.basis() == warm->basic;
-    const bool installed = engine.install_warm_basis(*warm);
+    // The basic columns go in ascending order: a fresh LU (and every
+    // number read off it) depends on their order, and two pivot paths
+    // reach one vertex with them in different orders, so a warm solve
+    // must depend on the basis as a set.  A retained engine whose LU is
+    // current for exactly this basis (the canonical basis its last
+    // solve ended on) adopts that LU instead of rebuilding it.
+    std::vector<std::size_t> basic = warm->basic;
+    std::sort(basic.begin(), basic.end());
+    const bool reusable = engine.lu_current() && engine.basis() == basic;
+    const bool installed = engine.install_warm_basis(basic, warm->at_upper);
     if (installed && !engine.adopt_or_refactorize(reusable)) {
       // A basis that installs but will not factor is numerical trouble,
       // not staleness: surface it instead of silently going cold, so
@@ -1576,36 +1580,6 @@ LpSolution solve_revised_simplex(const LpProblem& problem,
   if (options.stats != nullptr) *options.stats = SimplexStats{};
 
   LpSolution sol = solve_once(problem, options, warm, basis_out);
-  if (sol.status != LpStatus::kIterationLimit) {
-    if (options.stats != nullptr) {
-      options.stats->solve_ms = now_ms() - t0;
-      options.stats->iterations = sol.iterations;
-    }
-    g_pivots_executed.fetch_add(sol.iterations, std::memory_order_relaxed);
-    return sol;
-  }
-
-  // Degeneracy stall: retry cold on deterministically perturbed copies,
-  // the same remedy (and helper) the dense tableau uses.
-  RevisedSimplexOptions fresh = options;
-  fresh.retained = nullptr;  // perturbed copies are other problems
-  for (const double eps : {1e-11, 1e-9, 1e-7}) {
-    const LpProblem copy = perturbed_copy(problem, eps);
-    LpSolution retry = solve_once(copy, fresh, nullptr, basis_out);
-    if (retry.status != LpStatus::kIterationLimit) {
-      LpSolution out = retry;
-      if (out.status == LpStatus::kOptimal) {
-        out.objective = problem.objective(out.x);
-      }
-      out.iterations += sol.iterations;
-      if (options.stats != nullptr) {
-        options.stats->solve_ms = now_ms() - t0;
-        options.stats->iterations = out.iterations;
-      }
-      g_pivots_executed.fetch_add(out.iterations, std::memory_order_relaxed);
-      return out;
-    }
-  }
   if (options.stats != nullptr) {
     options.stats->solve_ms = now_ms() - t0;
     options.stats->iterations = sol.iterations;

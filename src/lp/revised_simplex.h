@@ -4,8 +4,8 @@
 // two triangular solves against an LU-factorized basis (right-looking
 // Markowitz LU, Forrest–Tomlin-updated between stability- or
 // fill-triggered refactorizations) plus one pricing pass — instead of
-// the dense tableau's O(rows x columns) pivot.  This is the backend of
-// choice for the MDP balance-equation LPs, whose columns have only a
+// the dense tableau's O(rows x columns) pivot.  This is the solver
+// for the MDP balance-equation LPs, whose columns have only a
 // handful of nonzeros (one outgoing-flow term plus the few reachable
 // successor states).
 //
@@ -164,8 +164,8 @@ struct RevisedSimplexOptions {
   std::size_t partial_section = 0;
   /// Switch to Bland's rule after this many non-improving iterations.
   std::size_t stall_limit = 64;
-  /// Abort (caller retries perturbed) after this many non-improving
-  /// Bland iterations.
+  /// Give up with kIterationLimit after this many non-improving Bland
+  /// iterations; the supervisor escalates the stall.
   std::size_t bland_stall_abort = 2000;
   /// Cap on dual-simplex pivots in a warm start before falling back to a
   /// cold solve (warm starts are only worth it when they are short).
@@ -185,9 +185,7 @@ struct RevisedSimplexOptions {
   /// Optional retained engine (see RetainedSimplex), like `stats` a
   /// caller-owned handle rather than a tuning option: the solve runs on
   /// the handle's engine and leaves it there for the next solve of the
-  /// same LP.  Results are bitwise those of a solve without it.  Only
-  /// the problem's own engine is retained — the perturbed degeneracy
-  /// retries build their own.
+  /// same LP.  Results are bitwise those of a solve without it.
   RetainedSimplex* retained = nullptr;
 };
 
@@ -209,7 +207,9 @@ struct SimplexBasis {
 /// `warm` (optional) restarts from a previous basis; `basis_out`
 /// (optional) receives the final basis on optimal termination.  Both may
 /// be null; passing an incompatible warm basis silently falls back to a
-/// cold solve.
+/// cold solve.  The order of `warm->basic` does not matter: the solver
+/// installs the columns in ascending order, so a warm solve depends on
+/// the basis as a set.
 LpSolution solve_revised_simplex(const LpProblem& problem,
                                  const RevisedSimplexOptions& options = {},
                                  const SimplexBasis* warm = nullptr,

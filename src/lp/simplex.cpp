@@ -294,25 +294,8 @@ LpSolution solve_simplex(const LpProblem& problem,
     // reformulation (same variables, same objective).
     return solve_simplex(bounds_as_rows(problem), options);
   }
-  {
-    Tableau t(problem, options);
-    LpSolution sol = t.run(problem);
-    if (sol.status != LpStatus::kIterationLimit) return sol;
-  }
-  // Degeneracy stall: retry on perturbed copies with growing epsilon.
-  LpSolution last;
-  for (const double eps : {1e-11, 1e-9, 1e-7}) {
-    const LpProblem p = perturbed_copy(problem, eps);
-    Tableau t(p, options);
-    last = t.run(p);
-    if (last.status != LpStatus::kIterationLimit) {
-      if (last.status == LpStatus::kOptimal) {
-        last.objective = problem.objective(last.x);
-      }
-      return last;
-    }
-  }
-  return last;
+  Tableau t(problem, options);
+  return t.run(problem);
 }
 
 }  // namespace dpm::lp

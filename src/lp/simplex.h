@@ -1,6 +1,7 @@
 // Two-phase dense primal simplex.
 //
-// Default exact solver for the policy-optimization LPs.  Phase 1
+// The small, auditable reference solver: the supervisor's kCrossCheck
+// rung and the oracle the revised simplex is tested against.  Phase 1
 // minimizes the sum of artificial variables to find a basic feasible
 // point; phase 2 optimizes the true objective.  Dantzig pricing with an
 // automatic switch to Bland's rule when the objective stalls guarantees
@@ -20,9 +21,10 @@ struct SimplexOptions {
   /// Switch from Dantzig pricing to Bland's rule after this many
   /// iterations without objective improvement (anti-cycling).
   std::size_t stall_limit = 64;
-  /// Give up (and let the caller retry on a perturbed copy) after this
-  /// many non-improving iterations in Bland mode — far cheaper than
-  /// grinding a degenerate basis to the full iteration budget.
+  /// Give up with kIterationLimit after this many non-improving
+  /// iterations in Bland mode — far cheaper than grinding a degenerate
+  /// basis to the full iteration budget.  The stall is reported, never
+  /// retried on a different LP.
   std::size_t bland_stall_abort = 2000;
 };
 

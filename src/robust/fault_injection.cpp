@@ -59,7 +59,6 @@ const char* to_string(FaultSite site) noexcept {
     case FaultSite::kFtranSpike: return "ftran";
     case FaultSite::kBtranSpike: return "btran";
     case FaultSite::kWarmBasis: return "warm-basis";
-    case FaultSite::kCholesky: return "cholesky";
     case FaultSite::kCacheLine: return "cache-line";
     case FaultSite::kDeadline: return "deadline";
   }

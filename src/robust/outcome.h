@@ -28,13 +28,12 @@ namespace dpm::robust {
 enum class FailureReason : std::uint8_t {
   kSingularBasis = 0,   ///< refactorization failed; basis numerically wedged
   kNonFinite,           ///< NaN/Inf detected mid-solve (data or injection)
-  kIterationLimit,      ///< pivot budget exhausted, perturbed retries included
+  kIterationLimit,      ///< pivot budget exhausted (or a degenerate stall)
   kDeadlineExpired,     ///< cooperative per-unit wall-clock deadline hit
-  kCholeskyBreakdown,   ///< IPM normal equations hopeless at max shift
   kInvariantViolation,  ///< internal invariant check tripped (verify builds)
   kBadModel,            ///< malformed input; retrying cannot help
 };
-inline constexpr std::size_t kNumFailureReasons = 7;
+inline constexpr std::size_t kNumFailureReasons = 6;
 
 const char* to_string(FailureReason r) noexcept;
 
@@ -50,12 +49,10 @@ enum class RecoveryRung : std::uint8_t {
                        ///< trajectory, so recovered results match the
                        ///< fault-free bytes exactly
   kColdRestart,        ///< drop the warm basis, fresh start from scratch
-  kPerturb,            ///< solve a deterministically perturbed copy,
-                       ///< objective re-evaluated on the original problem
-  kCrossCheck,         ///< independent backend: dense tableau (small
-                       ///< problems) or interior point
+  kCrossCheck,         ///< the dense tableau on the same LP, at or below
+                       ///< kCrossCheckTableauColumns columns (supervisor.h)
 };
-inline constexpr std::size_t kNumRecoveryRungs = 5;
+inline constexpr std::size_t kNumRecoveryRungs = 4;
 
 const char* to_string(RecoveryRung r) noexcept;
 

@@ -37,11 +37,10 @@ enum class FaultSite : std::uint8_t {
   kFtranSpike,       ///< ftran result poisoned with a quiet NaN
   kBtranSpike,       ///< btran result poisoned with a quiet NaN
   kWarmBasis,        ///< warm-start basis rejected as corrupted
-  kCholesky,         ///< IPM normal-equations Cholesky breakdown
   kCacheLine,        ///< scenario result cache flush writes a poisoned line
   kDeadline,         ///< per-unit wall-clock deadline expires immediately
 };
-inline constexpr std::size_t kNumFaultSites = 8;
+inline constexpr std::size_t kNumFaultSites = 7;
 
 /// Stable lower-case name for CLI flags and telemetry ("lu-factorize",
 /// "ft-update", ...).  Returns nullptr for out-of-range values.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "linalg/matrix.h"
+#include "lp/simplex.h"
 
 namespace dpm::robust {
 namespace {
@@ -31,9 +32,6 @@ FailureReason reason_from(const lp::LpSolution& sol) noexcept {
         std::strcmp(sol.note, "crash-basis-corrupted") == 0) {
       return FailureReason::kSingularBasis;
     }
-    if (std::strcmp(sol.note, "cholesky-breakdown") == 0) {
-      return FailureReason::kCholeskyBreakdown;
-    }
   }
   return FailureReason::kNonFinite;
 }
@@ -46,7 +44,6 @@ const char* to_string(FailureReason r) noexcept {
     case FailureReason::kNonFinite: return "non-finite";
     case FailureReason::kIterationLimit: return "iteration-limit";
     case FailureReason::kDeadlineExpired: return "deadline-expired";
-    case FailureReason::kCholeskyBreakdown: return "cholesky-breakdown";
     case FailureReason::kInvariantViolation: return "invariant-violation";
     case FailureReason::kBadModel: return "bad-model";
   }
@@ -58,7 +55,6 @@ const char* to_string(RecoveryRung r) noexcept {
     case RecoveryRung::kPlain: return "plain";
     case RecoveryRung::kRetryRefactorize: return "retry-refactorize";
     case RecoveryRung::kColdRestart: return "cold-restart";
-    case RecoveryRung::kPerturb: return "perturb";
     case RecoveryRung::kCrossCheck: return "cross-check";
   }
   return nullptr;
@@ -161,23 +157,11 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   lp::RevisedSimplexOptions fresh = options_.lp;
   fresh.retained = nullptr;
 
-  // The kPlain configuration, reused by the retry rung on a new engine.
-  const auto plain = [&](const lp::RevisedSimplexOptions& lp_options) {
-    switch (options_.backend) {
-      case lp::Backend::kInteriorPoint:
-        return lp::solve_interior_point(problem);
-      case lp::Backend::kSimplex:
-        return lp::solve_simplex(problem);
-      case lp::Backend::kRevisedSimplex:
-        break;
-    }
-    return lp::solve_revised_simplex(problem, lp_options, warm, basis_out);
-  };
-
-  // Rung 1: as requested.  A non-default backend that fails lands on
-  // the simplex ladder below — the IPM Cholesky-breakdown -> simplex
-  // fallback path.
-  if (attempt(RecoveryRung::kPlain, [&] { return plain(options_.lp); })) {
+  // Rung 1: as requested.
+  if (attempt(RecoveryRung::kPlain, [&] {
+        return lp::solve_revised_simplex(problem, options_.lp, warm,
+                                         basis_out);
+      })) {
     return done();
   }
 
@@ -186,7 +170,9 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // re-solves along the identical pivot trajectory, so the recovered
   // answer — objective, vertex, iteration count — matches the
   // fault-free run bit-for-bit.
-  if (attempt(RecoveryRung::kRetryRefactorize, [&] { return plain(fresh); })) {
+  if (attempt(RecoveryRung::kRetryRefactorize, [&] {
+        return lp::solve_revised_simplex(problem, fresh, warm, basis_out);
+      })) {
     return done();
   }
 
@@ -194,41 +180,19 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // seed, so persistent hand-off trouble (stale, corrupted, or
   // unfactorable seeds of either kind) clears with a bit-identical
   // objective on success.
-  const auto cold_opts = [&] {
-    lp::RevisedSimplexOptions opts = fresh;
-    opts.crash_columns = nullptr;
-    return opts;
-  };
+  lp::RevisedSimplexOptions cold = fresh;
+  cold.crash_columns = nullptr;
   if (attempt(RecoveryRung::kColdRestart, [&] {
-        return lp::solve_revised_simplex(problem, cold_opts(), nullptr,
-                                         basis_out);
+        return lp::solve_revised_simplex(problem, cold, nullptr, basis_out);
       })) {
     return done();
   }
 
-  // Rung 4: perturbed copy (same matrix, nudged rhs) breaks degenerate
-  // wedges; objective re-evaluated on the original problem.
-  if (options_.allow_perturb &&
-      attempt(RecoveryRung::kPerturb, [&] {
-        lp::LpSolution sol = lp::solve_revised_simplex(
-            lp::perturbed_copy(problem, 1e-7), cold_opts(), nullptr,
-            basis_out);
-        if (sol.status == lp::LpStatus::kOptimal) {
-          sol.objective = problem.objective(sol.x);
-        }
-        return sol;
-      })) {
-    return done();
-  }
-
-  // Rung 5: an independent backend answers instead.
-  if (options_.allow_cross_check) {
-    attempt(RecoveryRung::kCrossCheck, [&] {
-      if (problem.num_variables() <= options_.cross_check_tableau_limit) {
-        return lp::solve_simplex(problem);
-      }
-      return lp::solve_interior_point(problem);
-    });
+  // Rung 4: the dense tableau answers instead, on the same LP.  It
+  // leaves `basis_out` untouched.
+  if (problem.num_variables() <= kCrossCheckTableauColumns) {
+    attempt(RecoveryRung::kCrossCheck,
+            [&] { return lp::solve_simplex(problem); });
   }
   return done();
 }

@@ -1,5 +1,5 @@
 // Supervised solve pipeline: runs the declared escalation ladder over
-// the LP backends and guarantees a structured outcome — a determination
+// the LP solvers and guarantees a structured outcome — a determination
 // or a typed SolveFailure, never an escaping exception or an abort.
 //
 // Ladder (see RecoveryRung in outcome.h):
@@ -17,13 +17,13 @@
 //   3. kColdRestart       — drop the warm basis; fresh start.  Same
 //                           exact problem, so a recovered solve matches
 //                           the fault-free objective bit-for-bit.
-//   4. kPerturb           — deterministic rhs perturbation breaks
-//                           degenerate wedges; the objective is
-//                           re-evaluated on the original problem.
-//   5. kCrossCheck        — an independent backend answers instead: the
-//                           dense tableau below
-//                           `cross_check_tableau_limit` columns, the
-//                           interior point above it.
+//   4. kCrossCheck        — the dense tableau answers instead, at or
+//                           below kCrossCheckTableauColumns columns;
+//                           above it the rung does not run and the
+//                           cold restart's typed failure stands.
+//                           No rung ever solves a different LP, so a
+//                           determination is always about the problem
+//                           as posed.
 // kIterationLimit, kNumericalFailure, and converted exceptions escalate;
 // kDeadline and kBadModel stop the ladder immediately (retrying cannot
 // help within the same deadline, and malformed input never heals).
@@ -36,24 +36,18 @@
 #include <cstdint>
 
 #include "lp/revised_simplex.h"
-#include "lp/solver.h"
 #include "robust/outcome.h"
 
 namespace dpm::robust {
 
+/// Columns at or below which the kCrossCheck rung runs the dense
+/// tableau (O(rows x cols) per pivot).  Above it the rung does not
+/// run, and the ladder ends on the cold restart's typed failure.
+inline constexpr std::size_t kCrossCheckTableauColumns = 2048;
+
 struct SupervisorOptions {
   /// Base options applied to every simplex rung.
   lp::RevisedSimplexOptions lp;
-  /// Preferred backend for the kPlain rung.  kInteriorPoint and
-  /// kSimplex failures escalate straight onto the simplex ladder — this
-  /// is how an IPM Cholesky breakdown becomes a simplex fallback
-  /// instead of an escaping exception.
-  lp::Backend backend = lp::Backend::kRevisedSimplex;
-  bool allow_perturb = true;
-  bool allow_cross_check = true;
-  /// Columns at or below which the kCrossCheck rung uses the dense
-  /// tableau (O(rows x cols) per pivot); above it, the interior point.
-  std::size_t cross_check_tableau_limit = 600;
 };
 
 /// Process-wide recovery telemetry, aggregated across every supervised

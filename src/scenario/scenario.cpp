@@ -17,7 +17,6 @@ void hash_config(sim::Fnv1a& h, const OptimizerConfig& cfg) {
   h.add_double(cfg.discount);
   h.add_size(cfg.initial_distribution.size());
   for (const double p : cfg.initial_distribution) h.add_double(p);
-  h.add_byte(static_cast<unsigned char>(cfg.backend));
 }
 
 }  // namespace

@@ -545,11 +545,7 @@ std::string PolicyEngine::solve_in_session(Session& session,
     // so the reported numbers depend only on (LP, optimal basis) — a
     // warm repair and a cold solve landing on the same vertex answer
     // with identical bytes.  It runs on the session's engine: the
-    // standard form is reused and the basis refactorized in place.  A
-    // fresh LU depends on the order of the basic columns, and a repair
-    // and a cold solve reach one vertex with its columns in different
-    // orders, so the finish installs them in ascending order.
-    std::sort(basis_out.basic.begin(), basis_out.basic.end());
+    // standard form is reused and the basis refactorized in place.
     robust::SupervisorOptions certify_opts;
     certify_opts.lp.retained = &session.simplex;
     const robust::SolveSupervisor certifier(certify_opts);

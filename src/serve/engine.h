@@ -28,8 +28,7 @@
 // Determinism of response bytes: every optimal solve is finished
 // *canonically* — after the working solve (warm or cold) lands on an
 // optimal basis, the solution is recomputed from a fresh factorization
-// of that basis, its columns in ascending order (a zero-pivot warm
-// re-solve).  The reported numbers are then a pure function of (LP,
+// of that basis (a zero-pivot warm re-solve).  The reported numbers are then a pure function of (LP,
 // optimal basis), so a warm-started repair and a cold solve that reach
 // the same vertex answer with identical bytes, and a cached replay is
 // indistinguishable from a recompute.

@@ -7,7 +7,8 @@
 #include <random>
 
 #include "linalg/sparse_lu.h"
-#include "lp/solver.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
 
 namespace dpm {
 namespace {

@@ -10,6 +10,10 @@
 //    solves match the fault-free objective, vertex, and iteration count
 //    exactly (the kRetryRefactorize rung replays the identical pivot
 //    trajectory once the single-shot fault is consumed);
+//  * the ladder's last rung: when every simplex rung fails, the dense
+//    tableau answers on the same LP at or below its column limit, and
+//    the hard corner (point-mass p0, gamma = 0.999) gets the tableau
+//    optimum or a typed failure, never a wrong `infeasible`;
 //  * the scenario result cache's crash-safe flush: atomic rename leaves
 //    no temp file, a stale temp file from a simulated crash is ignored,
 //    and a poisoned line (kCacheLine injection) is dropped on load and
@@ -26,6 +30,7 @@
 //    session's next near hits byte-identical to an uninjected run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -34,7 +39,9 @@
 #include <string>
 #include <vector>
 
-#include "lp/solver.h"
+#include "dpm/metrics.h"
+#include "dpm/optimizer.h"
+#include "lp/simplex.h"
 #include "robust/fault_injection.h"
 #include "robust/outcome.h"
 #include "robust/probe.h"
@@ -277,29 +284,76 @@ TEST(SupervisorFaultMatrix, CorruptedWarmBasisRecoversBitwise) {
   EXPECT_EQ(out.steps[0].status, lp::LpStatus::kNumericalFailure);
 }
 
-// IPM Cholesky breakdown becomes a simplex-style recovery, not an
-// escaping exception: the retry rung replays the interior point clean
-// (the single-shot fault is consumed) and matches the fault-free IPM
-// answer bitwise.
-TEST(SupervisorFaultMatrix, CholeskyBreakdownRecoversOntoTheLadder) {
+// Every simplex rung failing lands on the dense tableau, on the same
+// LP: a singular refactorization injected at every LU fails kPlain,
+// kRetryRefactorize and kColdRestart alike, and kCrossCheck answers
+// with exactly the tableau's optimum.
+TEST(SupervisorFaultMatrix, ExhaustedSimplexRungsLandOnTheTableau) {
   const lp::LpProblem problem = probe_rich_problem();
-  SupervisorOptions options;
-  options.backend = lp::Backend::kInteriorPoint;
-  const SolveSupervisor supervisor(options);
-  const SolveOutcome clean = supervisor.solve(problem);
-  ASSERT_TRUE(clean.determined());
+  const lp::LpSolution want = lp::solve_simplex(problem);
+  ASSERT_EQ(want.status, lp::LpStatus::kOptimal);
 
   FaultPlan plan;
-  plan.site = FaultSite::kCholesky;
+  plan.site = FaultSite::kLuFactorize;
   plan.fire_at = 1;
+  plan.count = 1000;
   FaultScope scope(plan);
-  const SolveOutcome out = supervisor.solve(problem);
+  const SolveOutcome out = SolveSupervisor{}.solve(problem);
   ASSERT_TRUE(out.determined());
-  expect_bitwise_equal(out.solution, clean.solution, "cholesky");
-  ASSERT_EQ(scope.fired(), 1u);
-  EXPECT_TRUE(out.recovered());
-  ASSERT_GE(out.steps.size(), 2u);
-  EXPECT_EQ(out.steps[0].status, lp::LpStatus::kNumericalFailure);
+  ASSERT_EQ(out.steps.size(), 4u);
+  EXPECT_EQ(scope.fired(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out.steps[i].status, lp::LpStatus::kNumericalFailure) << i;
+  }
+  EXPECT_EQ(out.steps[3].rung, RecoveryRung::kCrossCheck);
+  expect_bitwise_equal(out.solution, want, "cross-check");
+}
+
+// The hard corner: fleet design 0 at queue capacity `cap`, every
+// session starting in state 0, minimum power under an average queue of
+// at most 0.5, gamma = 0.999.  The LP is feasible at every cap, but the
+// primal simplex pivots into a singular basis on each simplex rung.
+lp::LpProblem corner_lp(std::size_t cap) {
+  const SystemModel model = serve::fleet_model_spec(0, cap).compose();
+  OptimizerConfig config;
+  config.discount = 0.999;
+  config.initial_distribution.assign(model.num_states(), 0.0);
+  config.initial_distribution[0] = 1.0;
+  const PolicyOptimizer optimizer(model, config);
+  return optimizer.build_lp(
+      metrics::power(model),
+      {{metrics::queue_length(model), 0.5, "performance"}});
+}
+
+// No rung solves a different LP, so a failing ladder never turns into a
+// wrong `infeasible`: at or below the tableau limit the tableau answers.
+TEST(SupervisorLadder, HardCornerIsAnsweredByTheTableau) {
+  const lp::LpProblem problem = corner_lp(127);
+  ASSERT_LE(problem.num_variables(), robust::kCrossCheckTableauColumns);
+  const SolveOutcome out = SolveSupervisor{}.solve(problem);
+  ASSERT_TRUE(out.determined())
+      << robust::to_string(out.failure->reason) << " " << out.failure->detail;
+  ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal);
+  EXPECT_EQ(out.steps.back().rung, RecoveryRung::kCrossCheck);
+
+  const lp::LpSolution want = lp::solve_simplex(problem);
+  ASSERT_EQ(want.status, lp::LpStatus::kOptimal);
+  EXPECT_NEAR(out.solution.objective, want.objective,
+              1e-9 * std::abs(want.objective));
+  EXPECT_LT(problem.max_violation(out.solution.x), 1e-7);
+}
+
+// Above the tableau limit the ladder ends on a typed failure.
+TEST(SupervisorLadder, HardCornerAboveTheTableauLimitFailsTyped) {
+  const lp::LpProblem problem = corner_lp(511);
+  ASSERT_GT(problem.num_variables(), robust::kCrossCheckTableauColumns);
+  const SolveOutcome out = SolveSupervisor{}.solve(problem);
+  EXPECT_NE(out.solution.status, lp::LpStatus::kInfeasible);
+  EXPECT_FALSE(out.determined());
+  ASSERT_TRUE(out.failure.has_value());
+  EXPECT_EQ(out.failure->reason, robust::FailureReason::kSingularBasis);
+  EXPECT_EQ(out.failure->rung, RecoveryRung::kColdRestart);
+  EXPECT_EQ(out.steps.size(), 3u);
 }
 
 // An expired deadline is a hard stop: retrying inside the same deadline

@@ -3,6 +3,8 @@
 // on all three case studies.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cases/cpu_sa1100.h"
 #include "cases/disk_drive.h"
 #include "cases/example_system.h"
@@ -10,6 +12,7 @@
 #include "cases/web_server.h"
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
+#include "lp/simplex.h"
 #include "sim/simulator.h"
 #include "trace/generators.h"
 #include "trace/sr_extractor.h"
@@ -116,22 +119,22 @@ TEST(Integration, DiskDriveTraceDrivenStaysClose) {
               0.15 + 0.2 * r.objective_per_step);
 }
 
-TEST(Integration, DiskDriveBackendsAgree) {
-  // Regression guard for the 330-variable disk LP: the dense simplex
-  // and the interior-point method must land on the same optimum (they
-  // once disagreed through a tiny-pivot tableau drift and an
-  // over-regularized normal-equation solve respectively).
+TEST(Integration, DiskDriveSimplexVariantsAgree) {
+  // Regression guard for the 330-variable disk LP: the optimizer's
+  // revised simplex and the dense tableau must land on the same optimum
+  // (the tableau once disagreed through a tiny-pivot drift).
   const SystemModel m = DiskDrive::make_model();
-  OptimizerConfig cfg = DiskDrive::make_config(m, 0.999);
-  const PolicyOptimizer simplex(m, cfg);
-  cfg.backend = lp::Backend::kInteriorPoint;
-  const PolicyOptimizer ipm(m, cfg);
+  const OptimizerConfig cfg = DiskDrive::make_config(m, 0.999);
+  const PolicyOptimizer opt(m, cfg);
   for (const double q : {0.3, 0.6}) {
-    const OptimizationResult a = simplex.minimize_power(q, 0.05);
-    const OptimizationResult b = ipm.minimize_power(q, 0.05);
+    const OptimizationResult a = opt.minimize_power(q, 0.05);
     ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    EXPECT_NEAR(a.objective_per_step, b.objective_per_step, 1e-5);
+    const lp::LpSolution t = lp::solve_simplex(opt.build_lp(
+        metrics::power(m), {{metrics::queue_length(m), q, "performance"},
+                            {metrics::request_loss(m), 0.05, "request-loss"}}));
+    ASSERT_EQ(t.status, lp::LpStatus::kOptimal);
+    EXPECT_NEAR(a.objective_per_step, (1.0 - cfg.discount) * t.objective,
+                1e-8 * (1.0 + std::abs(a.objective_per_step)));
   }
 }
 

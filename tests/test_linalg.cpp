@@ -4,7 +4,6 @@
 #include <cmath>
 #include <random>
 
-#include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 
@@ -229,65 +228,6 @@ TEST_P(LuRandomTest, ResidualIsSmall) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, LuRandomTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55));
-
-// ---------------------------------------------------------------------
-// Cholesky
-// ---------------------------------------------------------------------
-
-TEST(Cholesky, SolvesSpdSystem) {
-  const Matrix a{{4.0, 2.0}, {2.0, 3.0}};
-  const CholeskyDecomposition chol(a);
-  const Vector x = chol.solve({1.0, 2.0});
-  const Vector r = a * x;
-  EXPECT_NEAR(r[0], 1.0, 1e-12);
-  EXPECT_NEAR(r[1], 2.0, 1e-12);
-}
-
-TEST(Cholesky, FactorIsLowerTriangular) {
-  const Matrix a{{4.0, 2.0}, {2.0, 3.0}};
-  const CholeskyDecomposition chol(a);
-  const Matrix& l = chol.factor();
-  EXPECT_EQ(l(0, 1), 0.0);
-  EXPECT_NEAR(l(0, 0), 2.0, 1e-12);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_THROW(CholeskyDecomposition{a}, LinalgError);
-}
-
-TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(CholeskyDecomposition(Matrix(2, 3)), LinalgError);
-}
-
-TEST(Cholesky, ShiftRegularizesSemidefinite) {
-  const Matrix a{{1.0, 1.0}, {1.0, 1.0}};  // rank 1
-  EXPECT_THROW(CholeskyDecomposition{a}, LinalgError);
-  EXPECT_NO_THROW(CholeskyDecomposition(a, /*shift=*/1e-6));
-}
-
-class CholeskyRandomTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CholeskyRandomTest, GramMatrixRoundTrip) {
-  const int n = GetParam();
-  std::mt19937_64 gen(99 + n);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  Matrix g(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) g(i, j) = u(gen);
-  }
-  Matrix a = g * g.transposed();
-  for (int i = 0; i < n; ++i) a(i, i) += 0.5;  // SPD for sure
-  const CholeskyDecomposition chol(a);
-  Vector b(n);
-  for (int i = 0; i < n; ++i) b[i] = u(gen);
-  const Vector x = chol.solve(b);
-  const Vector r = a * x;
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(r[i], b[i], 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Orders, CholeskyRandomTest,
-                         ::testing::Values(1, 2, 4, 8, 16, 32));
 
 }  // namespace
 }  // namespace dpm::linalg

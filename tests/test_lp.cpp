@@ -1,7 +1,9 @@
-// Unit and property tests for the LP solvers (simplex and interior
-// point), plus the retained revised-simplex engine's session loop.
+// Unit and property tests for the LP solvers (dense tableau and revised
+// simplex), plus the retained revised-simplex engine's session loop and
+// the warm-start basis-order contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -9,7 +11,7 @@
 #include "dpm/metrics.h"
 #include "dpm/optimizer.h"
 #include "lp/revised_simplex.h"
-#include "lp/solver.h"
+#include "lp/simplex.h"
 #include "robust/supervisor.h"
 #include "serve/fleet.h"
 
@@ -167,44 +169,12 @@ TEST(Simplex, RedundantEqualityRowsAreHarmless) {
   EXPECT_NEAR(s.x[1], 2.0, 1e-9);
 }
 
-// ---------------------------------------------------------------------
-// Interior point
-// ---------------------------------------------------------------------
-
-TEST(InteriorPoint, SolvesBoxProblem) {
-  const LpSolution s = solve_interior_point(box_problem());
-  ASSERT_EQ(s.status, LpStatus::kOptimal);
-  EXPECT_NEAR(s.objective, -4.0, 1e-6);
-}
-
-TEST(InteriorPoint, SolvesEqualityProblem) {
-  LpProblem p;
-  const std::size_t x = p.add_variable(1.0);
-  const std::size_t y = p.add_variable(2.0);
-  p.add_constraint({{{x, 1.0}, {y, 1.0}}, Sense::kEq, 3.0, ""});
-  const LpSolution s = solve_interior_point(p);
-  ASSERT_EQ(s.status, LpStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 3.0, 1e-6);
-}
-
-TEST(InteriorPoint, EmptyProblemThrows) {
-  EXPECT_THROW(solve_interior_point(LpProblem{}), LpError);
-}
-
-TEST(SolverFacade, DispatchesBackends) {
-  const LpProblem p = box_problem();
-  const LpSolution a = solve(p, Backend::kSimplex);
-  const LpSolution b = solve(p, Backend::kInteriorPoint);
-  ASSERT_EQ(a.status, LpStatus::kOptimal);
-  ASSERT_EQ(b.status, LpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-5);
-}
-
-// Property: on random feasible bounded LPs, the two backends agree on
-// the optimal objective and both satisfy the constraints.
+// Property: on random feasible bounded LPs, the revised simplex and the
+// dense tableau agree on the optimal objective and both satisfy the
+// constraints.
 class SolverAgreementTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SolverAgreementTest, SimplexMatchesInteriorPoint) {
+TEST_P(SolverAgreementTest, RevisedSimplexMatchesTableau) {
   const int seed = GetParam();
   std::mt19937_64 gen(seed);
   std::uniform_real_distribution<double> u(0.1, 2.0);
@@ -239,14 +209,14 @@ TEST_P(SolverAgreementTest, SimplexMatchesInteriorPoint) {
   }
 
   const LpSolution s1 = solve_simplex(p);
-  const LpSolution s2 = solve_interior_point(p);
+  const LpSolution s2 = solve_revised_simplex(p);
   ASSERT_EQ(s1.status, LpStatus::kOptimal) << "seed " << seed;
   ASSERT_EQ(s2.status, LpStatus::kOptimal) << "seed " << seed;
   EXPECT_NEAR(s1.objective, s2.objective,
-              1e-5 * (1.0 + std::abs(s1.objective)))
+              1e-9 * (1.0 + std::abs(s1.objective)))
       << "seed " << seed;
   EXPECT_LT(p.max_violation(s1.x), 1e-7);
-  EXPECT_LT(p.max_violation(s2.x), 1e-5);
+  EXPECT_LT(p.max_violation(s2.x), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, SolverAgreementTest,
@@ -506,6 +476,56 @@ TEST(RetainedSimplex, ReusedEngineSolvesLikeANewOne) {
     seen.push_back(cold);
   }
   EXPECT_GT(optimal, 8u);
+}
+
+// The solver owns the order of an installed basis.  A fresh LU depends
+// on the order of the basic columns, and two pivot paths reach one
+// vertex with its columns in different orders; a warm solve from any
+// permutation of a basis must return the bits of a warm solve from its
+// ascending order.
+TEST(WarmStart, BasisColumnOrderDoesNotChangeTheAnswer) {
+  for (std::size_t variant = 0; variant < 4; ++variant) {
+    const SystemModel model =
+        serve::fleet_model_spec(variant, /*queue_capacity=*/63).compose();
+    const std::size_t n = model.num_states();
+    OptimizerConfig config;
+    config.discount = 0.99;
+    config.initial_distribution.assign(n, 0.05 / static_cast<double>(n));
+    for (std::size_t s = 0; s < n; ++s) {
+      if (model.decompose(s).q == 0) {
+        config.initial_distribution[s] += 0.95 / 4.0;
+      }
+    }
+    const PolicyOptimizer optimizer(model, config);
+    for (const double bound : {1.6, 3.2, 6.4}) {
+      const LpProblem lp = optimizer.build_lp(
+          metrics::power(model),
+          {{metrics::queue_length(model), bound, "performance"}});
+      SimplexBasis pivot_order;
+      ASSERT_EQ(solve_revised_simplex(lp, {}, nullptr, &pivot_order).status,
+                LpStatus::kOptimal);
+      SimplexBasis ascending = pivot_order;
+      std::sort(ascending.basic.begin(), ascending.basic.end());
+      SimplexBasis reversed = ascending;
+      std::reverse(reversed.basic.begin(), reversed.basic.end());
+      const LpSolution want = solve_revised_simplex(lp, {}, &ascending);
+      ASSERT_EQ(want.status, LpStatus::kOptimal);
+      for (const SimplexBasis* order : {&pivot_order, &reversed}) {
+        const char* what = order == &reversed ? "reversed" : "pivot order";
+        const LpSolution got = solve_revised_simplex(lp, {}, order);
+        ASSERT_EQ(got.status, want.status) << what;
+        EXPECT_EQ(got.iterations, want.iterations) << what;
+        EXPECT_EQ(std::memcmp(&got.objective, &want.objective,
+                              sizeof(double)),
+                  0)
+            << "variant " << variant << " bound " << bound << " " << what;
+        EXPECT_TRUE(same_bits(got.x, want.x))
+            << "variant " << variant << " bound " << bound << " " << what;
+        EXPECT_TRUE(same_bits(got.duals, want.duals))
+            << "variant " << variant << " bound " << bound << " " << what;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // (Theorem 4.1).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "cases/example_system.h"
@@ -10,6 +11,7 @@
 #include "dpm/evaluation.h"
 #include "dpm/optimizer.h"
 #include "dpm/value_iteration.h"
+#include "lp/simplex.h"
 
 namespace dpm {
 namespace {
@@ -243,17 +245,17 @@ TEST(Optimizer, WarmStartedSweepMatchesColdSolves) {
   }
 }
 
-TEST(Optimizer, InteriorPointBackendAgrees) {
+TEST(Optimizer, TableauAgrees) {
   const SystemModel m = ExampleSystem::make_model();
-  OptimizerConfig cfg = example_config(m, 0.99);
-  const PolicyOptimizer simplex(m, cfg);
-  cfg.backend = lp::Backend::kInteriorPoint;
-  const PolicyOptimizer ipm(m, cfg);
-  const OptimizationResult r1 = simplex.minimize_power(0.4);
-  const OptimizationResult r2 = ipm.minimize_power(0.4);
-  ASSERT_TRUE(r1.feasible);
-  ASSERT_TRUE(r2.feasible);
-  EXPECT_NEAR(r1.objective_per_step, r2.objective_per_step, 1e-4);
+  const OptimizerConfig cfg = example_config(m, 0.99);
+  const PolicyOptimizer opt(m, cfg);
+  const OptimizationResult r = opt.minimize_power(0.4);
+  ASSERT_TRUE(r.feasible);
+  const lp::LpSolution t = lp::solve_simplex(opt.build_lp(
+      metrics::power(m), {{metrics::queue_length(m), 0.4, "performance"}}));
+  ASSERT_EQ(t.status, lp::LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective_per_step, (1.0 - cfg.discount) * t.objective,
+              1e-9 * (1.0 + std::abs(r.objective_per_step)));
 }
 
 TEST(Optimizer, Lp3Lp4Duality) {

@@ -17,7 +17,6 @@
 // test_fault_injection.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -598,8 +597,7 @@ TEST(ServeEngine, StatsAndShutdownAreServed) {
 
 // The serving path as it was before sessions kept their engine: a
 // supervised solve on a new engine, warm from the session basis, then a
-// supervised canonical finish (basic columns in ascending order) on
-// another new engine.  Mirrors the engine's session table (LRU bound
+// supervised canonical finish on another new engine.  Mirrors the engine's session table (LRU bound
 // included) and response bodies.
 class NewEnginePerSolve {
  public:
@@ -650,7 +648,6 @@ class NewEnginePerSolve {
     if (outcome.determined() &&
         outcome.solution.status == lp::LpStatus::kOptimal) {
       lp::SimplexBasis canonical;
-      std::sort(working.basic.begin(), working.basic.end());
       outcome = supervisor.solve(s.lp, &working, &canonical);
       answer.pivots += pivots_of(outcome);
       working = std::move(canonical);
