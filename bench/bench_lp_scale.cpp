@@ -35,6 +35,14 @@
 // `--tail-smoke` runs a single deterministic mid-size instance and
 // prints one machine-parsable line (block telemetry + crash/cold pivot
 // counts) for scripts/verify.sh --perf-smoke to gate on.
+//
+// `--corner` solves the hard corner through SolveSupervisor{}: fleet
+// design 0 at queue capacity 63..1023, gamma 0.999 and 0.99999, every
+// session starting in state 0, minimum power under an average queue of
+// at most 0.5.  One row per point: status (or the typed failure), the
+// answering rung, pivots, Lagrangian-seed LUs, wall time, and the
+// largest row or bound violation of the returned point.
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -44,10 +52,13 @@
 #include "bench_util.h"
 #include "cases/disk_drive.h"
 #include "dpm/crash.h"
+#include "dpm/metrics.h"
 #include "dpm/optimizer.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "markov/sparse_chain.h"
+#include "robust/supervisor.h"
+#include "serve/fleet.h"
 
 using namespace dpm;
 
@@ -208,10 +219,51 @@ int run_tail_smoke() {
   return 0;
 }
 
+/// `--corner`: the 10 hard-corner points through SolveSupervisor{}.
+int run_corner() {
+  std::printf("  %5s %8s %6s %-16s %-18s %6s %5s %9s %10s %14s\n", "cap",
+              "gamma", "cols", "status", "rung", "pivots", "lus", "ms",
+              "violation", "power/step");
+  for (const std::size_t cap : {63, 127, 255, 511, 1023}) {
+    const SystemModel model = serve::fleet_model_spec(0, cap).compose();
+    for (const double gamma : {0.999, 0.99999}) {
+      OptimizerConfig config;
+      config.discount = gamma;
+      config.initial_distribution.assign(model.num_states(), 0.0);
+      config.initial_distribution[0] = 1.0;
+      const PolicyOptimizer optimizer(model, config);
+      const lp::LpProblem p = optimizer.build_lp(
+          metrics::power(model),
+          {{metrics::queue_length(model), 0.5, "performance"}});
+      const auto t0 = std::chrono::steady_clock::now();
+      const robust::SolveOutcome out = robust::SolveSupervisor{}.solve(p);
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      std::size_t pivots = 0;
+      for (const robust::RecoveryStep& step : out.steps) {
+        pivots += step.iterations;
+      }
+      const bool has_point = out.solution.x.size() == p.num_variables();
+      std::printf("  %5zu %8g %6zu %-16s %-18s %6zu %5zu %9.1f %10.2e %14.10f\n",
+                  cap, gamma, p.num_variables(),
+                  out.failure ? robust::to_string(out.failure->reason)
+                              : lp::to_string(out.solution.status),
+                  robust::to_string(out.steps.back().rung), pivots,
+                  out.seed_factorizations, ms,
+                  has_point ? p.max_violation(out.solution.x) : 0.0,
+                  out.determined() ? (1.0 - gamma) * out.solution.objective
+                                   : 0.0);
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (has_flag(argc, argv, "--tail-smoke")) return run_tail_smoke();
+  if (has_flag(argc, argv, "--corner")) return run_corner();
 
   const bool smoke = bench::smoke_mode(argc, argv);
   bench::banner("LP scaling (revised simplex vs dense tableau)",

@@ -527,7 +527,13 @@ int main(int argc, char** argv) {
       std::printf(" rung_%s=%ju", key.c_str(),
                   static_cast<std::uintmax_t>(rt.rung_attempts[r]));
     }
-    std::printf("\n");
+    // Lagrangian cold-start seeds (lp/leontief.h): handed to a rung,
+    // declined by a qualifying LP's search, and the LUs they cost.
+    std::printf(" seeds_adopted=%ju seeds_declined=%ju "
+                "seed_factorizations=%ju\n",
+                static_cast<std::uintmax_t>(rt.seeds_adopted),
+                static_cast<std::uintmax_t>(rt.seeds_declined),
+                static_cast<std::uintmax_t>(rt.seed_factorizations));
   }
 
   bool bad = false;

@@ -3,7 +3,7 @@
 #
 #   scripts/check_docs.sh <path-to-bench_scenarios>
 #
-# Five checks:
+# Six checks:
 #   1. The scenario table in src/scenario/README.md lists exactly the
 #      scenarios `bench_scenarios --list` reports (both directions).
 #   2. Every repo-relative file or directory referenced from docs/*.md
@@ -17,6 +17,8 @@
 #   5. docs/serving.md documents every dpmd wire op and every
 #      EngineCounters telemetry field by name, so the serving protocol
 #      and its counters cannot drift undocumented.
+#   6. docs/robustness.md documents every RecoveryTelemetry field by
+#      name, so the supervisor's counters cannot drift undocumented.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -150,7 +152,23 @@ while IFS= read -r field; do
   fi
 done <<< "${serve_counters}"
 
+# --- 6. supervisor recovery counters are documented -----------------
+recovery_fields="$(sed -n '/^struct RecoveryTelemetry/,/^};/p' src/robust/supervisor.h |
+                   grep -o '^  [a-z:]*[a-z_0-9<> ]* [a-z_0-9]*\(\[[A-Za-z]*\]\)\? =' |
+                   sed 's/\[[A-Za-z]*\]//' | awk '{print $(NF-1)}' || true)"
+if [[ -z "${recovery_fields}" ]]; then
+  echo "check_docs: FAIL — could not parse RecoveryTelemetry fields from src/robust/supervisor.h" >&2
+  fail=1
+fi
+while IFS= read -r field; do
+  [[ -z "${field}" ]] && continue
+  if ! grep -q "\`${field}\`" docs/robustness.md; then
+    echo "check_docs: FAIL — RecoveryTelemetry::${field} is not documented in docs/robustness.md" >&2
+    fail=1
+  fi
+done <<< "${recovery_fields}"
+
 if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
-echo "check_docs: OK (scenario table in sync, doc references exist, golden list in sync, SimplexStats documented, serving protocol documented)"
+echo "check_docs: OK (scenario table in sync, doc references exist, golden list in sync, SimplexStats documented, serving protocol documented, recovery counters documented)"

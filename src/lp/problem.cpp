@@ -159,6 +159,25 @@ LpProblem bounds_as_rows(const LpProblem& problem) {
   return copy;
 }
 
+void audit_residual(const LpProblem& problem, double feas_tol,
+                    LpSolution& sol) {
+  if (sol.status != LpStatus::kOptimal) return;
+  bool ok = sol.x.size() == problem.num_variables();
+  for (const Constraint& c : problem.constraints()) {
+    if (!ok) break;
+    double lhs = 0.0;
+    for (const auto& [col, coeff] : c.terms) lhs += coeff * sol.x[col];
+    const double excess = c.sense == Sense::kEq   ? std::abs(lhs - c.rhs)
+                          : c.sense == Sense::kLe ? lhs - c.rhs
+                                                  : c.rhs - lhs;
+    ok = excess <= feas_tol * (1.0 + std::abs(c.rhs));
+  }
+  if (!ok) {
+    sol.status = LpStatus::kNumericalFailure;
+    sol.note = "primal-residual";
+  }
+}
+
 const char* to_string(LpStatus s) noexcept {
   switch (s) {
     case LpStatus::kOptimal:

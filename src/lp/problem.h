@@ -147,8 +147,15 @@ struct LpSolution {
   /// Machine-readable failure note, empty on success.  Set alongside the
   /// failure statuses so robust::SolveSupervisor can type the failure
   /// without parsing exception text: "singular-refactorization",
-  /// "nonfinite-values", "deadline".
+  /// "nonfinite-values", "primal-residual", "deadline".
   const char* note = nullptr;
 };
+
+/// Residual audit, O(nnz): an optimal `sol` whose point violates some
+/// row i by more than `feas_tol * (1 + |b_i|)` becomes kNumericalFailure
+/// with note "primal-residual", so no solver path returns `optimal` for
+/// a point off its rows.  Other statuses pass through untouched.
+void audit_residual(const LpProblem& problem, double feas_tol,
+                    LpSolution& sol);
 
 }  // namespace dpm::lp

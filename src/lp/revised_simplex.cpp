@@ -1390,9 +1390,12 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
   // feasible near-optimal vertex that phase 2 polishes in a fraction of
   // the cold pivot count.  A seed that leaves primal infeasibility
   // (greedy policy violating a metric row) is repaired by the boxed
-  // dual when the basis prices dual feasible; anything less — singular
-  // factorization, neither feasibility — falls back to the ordinary
-  // cold start.
+  // dual when the basis prices dual feasible; a seed with neither
+  // feasibility, or a malformed one (wrong length, nothing valid to
+  // install), falls back to the ordinary cold start.  A seed that
+  // installs but will not factor is a typed failure, as on the warm
+  // path: the supervisor's retry rebuilds it and the cold restart drops
+  // it, so an injected LU fault never changes the pivot trajectory.
   if ((warm == nullptr || warm->empty()) && opt.crash_columns != nullptr) {
     // Fault injection: same site as a warm hand-off (the crash seed IS
     // a warm start the optimizer fabricated).  The supervised retry
@@ -1406,12 +1409,12 @@ LpSolution run_phases(RevisedSimplex& engine, const LpProblem& problem,
     bool attempted = false;
     RevisedSimplex::PhaseResult pres = {LpStatus::kIterationLimit, 0,
                                         nullptr};
-    if (engine.install_crash_basis(*opt.crash_columns) &&
-        engine.refactorize()) {
-      // A crash seed that will not factor is *expected* occasionally
-      // (caller heuristics are allowed to be wrong) — unlike the warm
-      // path this silently falls back cold instead of surfacing a
-      // numerical failure.
+    if (engine.install_crash_basis(*opt.crash_columns)) {
+      if (!engine.refactorize()) {
+        sol.status = LpStatus::kNumericalFailure;
+        sol.note = "singular-refactorization";
+        return sol;
+      }
       engine.cap_artificials();
       engine.recompute_xb();
       bool dual_ok = true;
@@ -1542,7 +1545,13 @@ LpSolution solve_once(const LpProblem& problem,
     throw;
   }
   engine->flush_sweep_telemetry();
+  const bool claimed_optimal = sol.status == LpStatus::kOptimal;
   audit_finite(sol);
+  audit_residual(problem, opt.feas_tol, sol);
+  if (claimed_optimal && sol.status != LpStatus::kOptimal &&
+      basis_out != nullptr) {
+    *basis_out = SimplexBasis{};  // never hand out a rejected basis
+  }
   if (!determined(sol.status)) engine.reset();
   return sol;
 }

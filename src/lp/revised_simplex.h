@@ -178,9 +178,13 @@ struct RevisedSimplexOptions {
   /// "no seed; complete with a slack or artificial").  The MDP
   /// optimizer derives these from a few policy-iteration steps — the
   /// occupation-measure columns of the greedy deterministic policy form
-  /// a nonsingular (I - gamma P)^T sub-basis over the balance rows.  A
-  /// singular or malformed seed falls back to the ordinary cold start.
-  /// Ignored when a warm basis is supplied.
+  /// a nonsingular (I - gamma P)^T sub-basis over the balance rows, and
+  /// robust::SolveSupervisor replaces them with the optimal basis of
+  /// lp/leontief.h where the LP qualifies.  A malformed seed (wrong
+  /// length, nothing valid to install) falls back to the ordinary cold
+  /// start; one that installs but will not factor fails with
+  /// kNumericalFailure / "singular-refactorization", as a warm basis
+  /// does.  Ignored when a warm basis is supplied.
   const std::vector<std::size_t>* crash_columns = nullptr;
   /// Optional retained engine (see RetainedSimplex), like `stats` a
   /// caller-owned handle rather than a tuning option: the solve runs on

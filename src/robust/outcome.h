@@ -32,8 +32,9 @@ enum class FailureReason : std::uint8_t {
   kDeadlineExpired,     ///< cooperative per-unit wall-clock deadline hit
   kInvariantViolation,  ///< internal invariant check tripped (verify builds)
   kBadModel,            ///< malformed input; retrying cannot help
+  kPrimalResidual,      ///< an "optimal" point violates a row past tolerance
 };
-inline constexpr std::size_t kNumFailureReasons = 6;
+inline constexpr std::size_t kNumFailureReasons = 7;
 
 const char* to_string(FailureReason r) noexcept;
 
@@ -78,6 +79,12 @@ struct SolveOutcome {
   lp::LpSolution solution;
   std::vector<RecoveryStep> steps;
   std::optional<SolveFailure> failure;
+  /// LU factorizations the Lagrangian cold-start seed ran on the last
+  /// attempt (0 when the LP is not in Leontief form, a warm basis was
+  /// given, or the rung runs unseeded).  Like that attempt's iteration
+  /// count it is the same with or without an earlier transient fault:
+  /// with the pivots, the deterministic work of the solve.
+  std::size_t seed_factorizations = 0;
 
   /// True when the model was determined: optimal, infeasible, or
   /// unbounded.  (`failure` is empty exactly when this holds.)

@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "linalg/matrix.h"
+#include "lp/leontief.h"
 #include "lp/simplex.h"
 
 namespace dpm::robust {
@@ -15,6 +18,9 @@ std::atomic<std::uint64_t> g_first_try{0};
 std::atomic<std::uint64_t> g_recovered{0};
 std::atomic<std::uint64_t> g_unrecovered{0};
 std::atomic<std::uint64_t> g_rung_attempts[kNumRecoveryRungs]{};
+std::atomic<std::uint64_t> g_seeds_adopted{0};
+std::atomic<std::uint64_t> g_seeds_declined{0};
+std::atomic<std::uint64_t> g_seed_factorizations{0};
 
 /// Types a failed (undetermined) solver return via its status + note.
 FailureReason reason_from(const lp::LpSolution& sol) noexcept {
@@ -32,6 +38,9 @@ FailureReason reason_from(const lp::LpSolution& sol) noexcept {
         std::strcmp(sol.note, "crash-basis-corrupted") == 0) {
       return FailureReason::kSingularBasis;
     }
+    if (std::strcmp(sol.note, "primal-residual") == 0) {
+      return FailureReason::kPrimalResidual;
+    }
   }
   return FailureReason::kNonFinite;
 }
@@ -46,6 +55,7 @@ const char* to_string(FailureReason r) noexcept {
     case FailureReason::kDeadlineExpired: return "deadline-expired";
     case FailureReason::kInvariantViolation: return "invariant-violation";
     case FailureReason::kBadModel: return "bad-model";
+    case FailureReason::kPrimalResidual: return "primal-residual";
   }
   return nullptr;
 }
@@ -69,6 +79,10 @@ RecoveryTelemetry recovery_telemetry() noexcept {
   for (std::size_t i = 0; i < kNumRecoveryRungs; ++i) {
     t.rung_attempts[i] = g_rung_attempts[i].load(std::memory_order_relaxed);
   }
+  t.seeds_adopted = g_seeds_adopted.load(std::memory_order_relaxed);
+  t.seeds_declined = g_seeds_declined.load(std::memory_order_relaxed);
+  t.seed_factorizations =
+      g_seed_factorizations.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -86,6 +100,7 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
         1, std::memory_order_relaxed);
     RecoveryStep step;
     step.rung = rung;
+    out.seed_factorizations = 0;  // this attempt's, like its iterations
     try {
       out.solution = fn();
       step.status = out.solution.status;
@@ -157,11 +172,39 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   lp::RevisedSimplexOptions fresh = options_.lp;
   fresh.retained = nullptr;
 
+  // A cold solve of an occupation-measure LP starts at its Lagrangian
+  // seed (lp/leontief.h), which replaces any caller crash seed.  The
+  // O(nnz) detection runs once; the seed is computed inside each of the
+  // first two rungs, so an LU failure inside it is typed and escalated
+  // like any other, and the retry recomputes the identical seed.
+  std::optional<lp::LeontiefForm> form;
+  if (warm == nullptr || warm->empty()) {
+    form = lp::LeontiefForm::detect(problem);
+  }
+  const auto seeded_solve = [&](const lp::RevisedSimplexOptions& base) {
+    lp::RevisedSimplexOptions opt = base;
+    std::vector<std::size_t> seed;
+    if (form) {
+      std::size_t& lus = out.seed_factorizations;  // reset per attempt
+      try {
+        seed = lp::lagrangian_seed(*form, &lus);
+      } catch (...) {
+        g_seed_factorizations.fetch_add(lus, std::memory_order_relaxed);
+        throw;
+      }
+      g_seed_factorizations.fetch_add(lus, std::memory_order_relaxed);
+      if (seed.empty()) {
+        g_seeds_declined.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        g_seeds_adopted.fetch_add(1, std::memory_order_relaxed);
+        opt.crash_columns = &seed;
+      }
+    }
+    return lp::solve_revised_simplex(problem, opt, warm, basis_out);
+  };
+
   // Rung 1: as requested.
-  if (attempt(RecoveryRung::kPlain, [&] {
-        return lp::solve_revised_simplex(problem, options_.lp, warm,
-                                         basis_out);
-      })) {
+  if (attempt(RecoveryRung::kPlain, [&] { return seeded_solve(options_.lp); })) {
     return done();
   }
 
@@ -170,9 +213,8 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // re-solves along the identical pivot trajectory, so the recovered
   // answer — objective, vertex, iteration count — matches the
   // fault-free run bit-for-bit.
-  if (attempt(RecoveryRung::kRetryRefactorize, [&] {
-        return lp::solve_revised_simplex(problem, fresh, warm, basis_out);
-      })) {
+  if (attempt(RecoveryRung::kRetryRefactorize,
+              [&] { return seeded_solve(fresh); })) {
     return done();
   }
 
@@ -191,8 +233,11 @@ SolveOutcome SolveSupervisor::solve(const lp::LpProblem& problem,
   // Rung 4: the dense tableau answers instead, on the same LP.  It
   // leaves `basis_out` untouched.
   if (problem.num_variables() <= kCrossCheckTableauColumns) {
-    attempt(RecoveryRung::kCrossCheck,
-            [&] { return lp::solve_simplex(problem); });
+    attempt(RecoveryRung::kCrossCheck, [&] {
+      lp::LpSolution sol = lp::solve_simplex(problem);
+      lp::audit_residual(problem, options_.lp.feas_tol, sol);
+      return sol;
+    });
   }
   return done();
 }

@@ -7,16 +7,22 @@
 //                           the caller's retained simplex engine if
 //                           one is passed in the options
 //                           (lp::RetainedSimplex).  Later rungs always
-//                           build their own engine.
+//                           build their own engine.  Without a warm
+//                           basis, an LP in Leontief form (every MDP
+//                           occupation-measure LP with at most one
+//                           metric row) starts at its Lagrangian
+//                           policy-iteration seed (lp/leontief.h),
+//                           computed inside the rung.
 //   2. kRetryRefactorize  — the same configuration again with every
-//                           factorization rebuilt; a transient fault
-//                           (consumed single-shot injection) re-solves
-//                           along the identical pivot trajectory, so
-//                           the recovered answer matches the fault-free
-//                           run bit-for-bit.
-//   3. kColdRestart       — drop the warm basis; fresh start.  Same
-//                           exact problem, so a recovered solve matches
-//                           the fault-free objective bit-for-bit.
+//                           factorization rebuilt, the seed included;
+//                           a transient fault (consumed single-shot
+//                           injection) re-solves along the identical
+//                           pivot trajectory, so the recovered answer
+//                           matches the fault-free run bit-for-bit.
+//   3. kColdRestart       — drop the warm basis and every crash seed;
+//                           fresh start.  Same exact problem, so a
+//                           recovered solve matches the fault-free
+//                           objective bit-for-bit.
 //   4. kCrossCheck        — the dense tableau answers instead, at or
 //                           below kCrossCheckTableauColumns columns;
 //                           above it the rung does not run and the
@@ -24,6 +30,8 @@
 //                           No rung ever solves a different LP, so a
 //                           determination is always about the problem
 //                           as posed.
+// Every optimum, the tableau's included, passes the O(nnz) residual
+// audit (lp::audit_residual) before the ladder accepts it.
 // kIterationLimit, kNumericalFailure, and converted exceptions escalate;
 // kDeadline and kBadModel stop the ladder immediately (retrying cannot
 // help within the same deadline, and malformed input never heals).
@@ -58,6 +66,13 @@ struct RecoveryTelemetry {
   std::uint64_t recovered = 0;     ///< determined after >= 1 escalation
   std::uint64_t unrecovered = 0;   ///< ladder exhausted or hard-stopped
   std::uint64_t rung_attempts[kNumRecoveryRungs] = {};
+  /// Lagrangian cold-start seeds (lp/leontief.h) handed to a rung, and
+  /// seeds a qualifying LP's search declined (the rung then runs with
+  /// the caller's crash seed, if any, as a non-qualifying LP does).
+  std::uint64_t seeds_adopted = 0;
+  std::uint64_t seeds_declined = 0;
+  /// LU factorizations those searches ran, failed ones included.
+  std::uint64_t seed_factorizations = 0;
 };
 RecoveryTelemetry recovery_telemetry() noexcept;
 

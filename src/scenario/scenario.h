@@ -52,7 +52,7 @@ using Record = JsonRecord;
 /// behavior, record naming, simulation semantics).  The golden-baseline
 /// update procedure in docs/bench-format.md pairs such a bump with
 /// regenerated baselines.
-inline constexpr std::uint64_t kResultSchemaVersion = 1;
+inline constexpr std::uint64_t kResultSchemaVersion = 2;
 
 /// Everything a unit body may produce; assembled by the runner in unit
 /// order, so output and JSON are independent of scheduling.

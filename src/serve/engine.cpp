@@ -36,6 +36,7 @@ struct TelemetryCells {
   std::atomic<std::uint64_t> failures{0};
   std::atomic<std::uint64_t> repair_pivots{0};
   std::atomic<std::uint64_t> cold_pivots{0};
+  std::atomic<std::uint64_t> seed_factorizations{0};
   std::atomic<std::uint64_t> sheds{0};
   std::atomic<std::uint64_t> conn_sheds{0};
   std::atomic<std::uint64_t> session_evictions{0};
@@ -55,6 +56,7 @@ void add_telemetry(const EngineCounters& delta) noexcept {
   add(g_telemetry.failures, delta.failures);
   add(g_telemetry.repair_pivots, delta.repair_pivots);
   add(g_telemetry.cold_pivots, delta.cold_pivots);
+  add(g_telemetry.seed_factorizations, delta.seed_factorizations);
   add(g_telemetry.sheds, delta.sheds);
   add(g_telemetry.conn_sheds, delta.conn_sheds);
   add(g_telemetry.session_evictions, delta.session_evictions);
@@ -70,6 +72,7 @@ void add_counters(EngineCounters& into, const EngineCounters& delta) {
   into.failures += delta.failures;
   into.repair_pivots += delta.repair_pivots;
   into.cold_pivots += delta.cold_pivots;
+  into.seed_factorizations += delta.seed_factorizations;
   into.sheds += delta.sheds;
   into.conn_sheds += delta.conn_sheds;
   into.session_evictions += delta.session_evictions;
@@ -174,6 +177,8 @@ EngineCounters serve_telemetry() noexcept {
   t.failures = g_telemetry.failures.load(std::memory_order_relaxed);
   t.repair_pivots = g_telemetry.repair_pivots.load(std::memory_order_relaxed);
   t.cold_pivots = g_telemetry.cold_pivots.load(std::memory_order_relaxed);
+  t.seed_factorizations =
+      g_telemetry.seed_factorizations.load(std::memory_order_relaxed);
   t.sheds = g_telemetry.sheds.load(std::memory_order_relaxed);
   t.conn_sheds = g_telemetry.conn_sheds.load(std::memory_order_relaxed);
   t.session_evictions =
@@ -528,6 +533,7 @@ std::string PolicyEngine::solve_in_session(Session& session,
   robust::SolveOutcome outcome = supervisor.solve(
       session.lp, warm ? &session.basis : nullptr, &basis_out);
   std::uint64_t pivots = outcome_pivots(outcome);
+  const std::uint64_t seed_lus = outcome.seed_factorizations;
 
   const bool optimal = outcome.determined() &&
                        outcome.solution.status == lp::LpStatus::kOptimal;
@@ -575,6 +581,7 @@ std::string PolicyEngine::solve_in_session(Session& session,
   } else {
     delta.cold_solves += 1;
     delta.cold_pivots += pivots;
+    delta.seed_factorizations += seed_lus;
   }
 
   if (outcome.solution.status != lp::LpStatus::kOptimal) {
@@ -688,6 +695,8 @@ std::string PolicyEngine::stats_body(const EngineCounters& delta) const {
   c.set("failures", JsonValue::number(double(counters.failures)));
   c.set("repair_pivots", JsonValue::number(double(counters.repair_pivots)));
   c.set("cold_pivots", JsonValue::number(double(counters.cold_pivots)));
+  c.set("seed_factorizations",
+        JsonValue::number(double(counters.seed_factorizations)));
   c.set("sheds", JsonValue::number(double(counters.sheds)));
   c.set("conn_sheds", JsonValue::number(double(counters.conn_sheds)));
   c.set("session_evictions",

@@ -115,6 +115,9 @@ struct EngineCounters {
   std::uint64_t failures = 0;       ///< solves abandoned (SolveFailure)
   std::uint64_t repair_pivots = 0;  ///< simplex iterations on near hits
   std::uint64_t cold_pivots = 0;    ///< simplex iterations on cold solves
+  /// LU factorizations the Lagrangian cold-start seed ran on cold
+  /// solves; with the pivots, a cold solve's deterministic work.
+  std::uint64_t seed_factorizations = 0;
   std::uint64_t sheds = 0;          ///< requests shed by the admission budget
   std::uint64_t conn_sheds = 0;     ///< connections refused at the accept cap
   std::uint64_t session_evictions = 0;  ///< sessions evicted by the LRU bound

@@ -1,9 +1,10 @@
 // Policy-iteration crash bases (dpm/crash.h + the engine's
 // crash_columns option): a crash-seeded solve must reach the same
 // optimum as the cold solve in (substantially) fewer pivots on
-// structured MDP balance-equation LPs, and any defective seed — wrong
-// shape, duplicate columns, a singular sub-basis — must degrade to the
-// ordinary cold solve, never to a wrong answer.
+// structured MDP balance-equation LPs.  A malformed seed (wrong shape,
+// nothing valid to install) degrades to the ordinary cold solve; one
+// that installs but will not factor is a typed failure the
+// supervisor's cold restart clears — never a wrong answer.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -126,9 +127,12 @@ TEST(CrashBasis, MatchesColdObjectiveInFewerPivots) {
       << "crash=" << crash.iterations << " cold=" << cold.iterations;
 }
 
-// A singular seed (two rows nominating proportional columns) must fall
-// back to the cold solve and still return the right answer.
-TEST(CrashBasis, SingularSeedFallsBackCold) {
+// A singular seed (two rows nominating proportional columns) installs
+// but will not factor.  Unsupervised that is a typed failure, as for a
+// warm basis; supervised, the cold restart drops the seed and answers
+// with the cold objective.  (The LP is not in Leontief form — x0 has
+// two positive entries — so no Lagrangian seed replaces the caller's.)
+TEST(CrashBasis, SingularSeedIsATypedFailureTheColdRestartClears) {
   lp::LpProblem p;
   p.add_variable(1.0);  // x0, column [1, 1]
   p.add_variable(1.0);  // x1, column [2, 2] — a multiple of x0's
@@ -152,13 +156,25 @@ TEST(CrashBasis, SingularSeedFallsBackCold) {
   opt.stats = &stats;
   opt.crash_columns = &crash_cols;
   const lp::LpSolution sol = lp::solve_revised_simplex(p, opt);
-  ASSERT_EQ(sol.status, lp::LpStatus::kOptimal);
+  EXPECT_EQ(sol.status, lp::LpStatus::kNumericalFailure);
+  ASSERT_NE(sol.note, nullptr);
+  EXPECT_STREQ(sol.note, "singular-refactorization");
   EXPECT_FALSE(stats.crash_basis_used);
-  EXPECT_NEAR(sol.objective, reference.objective, 1e-9);
+
+  robust::SupervisorOptions sopt;
+  sopt.lp.crash_columns = &crash_cols;
+  const robust::SolveOutcome out = robust::SolveSupervisor(sopt).solve(p);
+  ASSERT_TRUE(out.determined());
+  ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal);
+  EXPECT_EQ(out.steps.back().rung, robust::RecoveryRung::kColdRestart);
+  EXPECT_EQ(out.solution.objective, reference.objective);
 }
 
-// Structurally defective seeds: wrong length, out-of-range and
-// duplicate nominations.  All must solve cold-equivalent.
+// Structurally defective seeds: wrong length and no valid nomination
+// are malformed and solve cold-equivalent, silently.  An all-duplicate
+// nomination installs its one valid seed (column 7 on row 0, where it
+// has no entry) and so will not factor: a typed failure unsupervised,
+// the cold objective on the supervisor's cold restart.
 TEST(CrashBasis, DefectiveSeedsAreHarmless) {
   const std::size_t n = 60, na = 3;
   const markov::SparseControlledChain chain = random_chain(n, na, 3, 31);
@@ -168,12 +184,11 @@ TEST(CrashBasis, DefectiveSeedsAreHarmless) {
   ASSERT_EQ(reference.status, lp::LpStatus::kOptimal);
 
   const std::size_t none = std::numeric_limits<std::size_t>::max();
-  const std::vector<std::vector<std::size_t>> bad = {
+  const std::vector<std::vector<std::size_t>> malformed = {
       std::vector<std::size_t>(n / 2, 0),       // wrong length
       std::vector<std::size_t>(n + 1, none),    // right length, no seeds
-      std::vector<std::size_t>(n + 1, 7),       // all-duplicate nomination
   };
-  for (const auto& crash_cols : bad) {
+  for (const auto& crash_cols : malformed) {
     lp::RevisedSimplexOptions opt;
     opt.crash_columns = &crash_cols;
     const lp::LpSolution sol = lp::solve_revised_simplex(p, opt);
@@ -181,6 +196,46 @@ TEST(CrashBasis, DefectiveSeedsAreHarmless) {
     EXPECT_NEAR(sol.objective, reference.objective,
                 1e-7 * (1.0 + std::abs(reference.objective)));
   }
+
+  const std::vector<std::size_t> duplicates(n + 1, 7);
+  lp::RevisedSimplexOptions opt;
+  opt.crash_columns = &duplicates;
+  const lp::LpSolution sol = lp::solve_revised_simplex(p, opt);
+  EXPECT_EQ(sol.status, lp::LpStatus::kNumericalFailure);
+
+  // Supervised, the LP is in Leontief form, so the Lagrangian seed
+  // replaces the defective one on the first two rungs.
+  robust::SupervisorOptions sopt;
+  sopt.lp.crash_columns = &duplicates;
+  const robust::SolveOutcome out = robust::SolveSupervisor(sopt).solve(p);
+  ASSERT_TRUE(out.determined());
+  ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal);
+  EXPECT_EQ(out.steps.size(), 1u);
+  EXPECT_NEAR(out.solution.objective, reference.objective,
+              1e-9 * (1.0 + std::abs(reference.objective)));
+
+  // A second, loose `<=` row takes the LP out of Leontief form, so the
+  // caller's seed reaches the engine: both seeded rungs fail typed and
+  // the cold restart answers with the cold objective.
+  lp::LpProblem loose = p;
+  lp::Constraint cap;
+  cap.sense = lp::Sense::kLe;
+  cap.rhs = 1e9;
+  for (std::size_t j = 0; j < p.num_variables(); ++j) {
+    cap.terms.emplace_back(j, 1.0);
+  }
+  loose.add_constraint(std::move(cap));
+  const lp::LpSolution loose_reference = lp::solve_revised_simplex(loose);
+  ASSERT_EQ(loose_reference.status, lp::LpStatus::kOptimal);
+  const std::vector<std::size_t> loose_duplicates(n + 2, 7);
+  sopt.lp.crash_columns = &loose_duplicates;
+  const robust::SolveOutcome cold = robust::SolveSupervisor(sopt).solve(loose);
+  ASSERT_TRUE(cold.determined());
+  ASSERT_EQ(cold.solution.status, lp::LpStatus::kOptimal);
+  ASSERT_EQ(cold.steps.size(), 3u);
+  EXPECT_EQ(cold.steps[0].status, lp::LpStatus::kNumericalFailure);
+  EXPECT_EQ(cold.steps.back().rung, robust::RecoveryRung::kColdRestart);
+  EXPECT_EQ(cold.solution.objective, loose_reference.objective);
 }
 
 // A single-shot injected fault on the crash-installation probe

@@ -11,9 +11,11 @@
 //    exactly (the kRetryRefactorize rung replays the identical pivot
 //    trajectory once the single-shot fault is consumed);
 //  * the ladder's last rung: when every simplex rung fails, the dense
-//    tableau answers on the same LP at or below its column limit, and
-//    the hard corner (point-mass p0, gamma = 0.999) gets the tableau
-//    optimum or a typed failure, never a wrong `infeasible`;
+//    tableau answers on the same LP at or below its column limit; the
+//    hard corner (point-mass p0, gamma = 0.999) is optimal on the plain
+//    rung from its Lagrangian seed, at the independent dual bound, or a
+//    typed failure, and without the seed gets the tableau optimum or a
+//    typed failure — never a wrong `infeasible`;
 //  * the scenario result cache's crash-safe flush: atomic rename leaves
 //    no temp file, a stale temp file from a simulated crash is ignored,
 //    and a poisoned line (kCacheLine injection) is dropped on load and
@@ -39,8 +41,10 @@
 #include <string>
 #include <vector>
 
+#include "dpm/evaluation.h"
 #include "dpm/metrics.h"
 #include "dpm/optimizer.h"
+#include "dpm/policy_iteration.h"
 #include "lp/simplex.h"
 #include "robust/fault_injection.h"
 #include "robust/outcome.h"
@@ -311,43 +315,125 @@ TEST(SupervisorFaultMatrix, ExhaustedSimplexRungsLandOnTheTableau) {
 
 // The hard corner: fleet design 0 at queue capacity `cap`, every
 // session starting in state 0, minimum power under an average queue of
-// at most 0.5, gamma = 0.999.  The LP is feasible at every cap, but the
-// primal simplex pivots into a singular basis on each simplex rung.
-lp::LpProblem corner_lp(std::size_t cap) {
-  const SystemModel model = serve::fleet_model_spec(0, cap).compose();
+// at most 0.5, gamma = 0.999.  With `loose_row` a second metric row
+// (request loss <= 1 per step, never binding) takes the LP out of
+// Leontief form, so no Lagrangian seed runs and the cold primal simplex
+// pivots into a singular basis on each simplex rung.
+struct Corner {
+  SystemModel model;
   OptimizerConfig config;
-  config.discount = 0.999;
-  config.initial_distribution.assign(model.num_states(), 0.0);
-  config.initial_distribution[0] = 1.0;
-  const PolicyOptimizer optimizer(model, config);
-  return optimizer.build_lp(
-      metrics::power(model),
-      {{metrics::queue_length(model), 0.5, "performance"}});
+  lp::LpProblem problem;
+};
+
+Corner corner(std::size_t cap, bool loose_row = false) {
+  Corner c{serve::fleet_model_spec(0, cap).compose(), {}, {}};
+  c.config.discount = 0.999;
+  c.config.initial_distribution.assign(c.model.num_states(), 0.0);
+  c.config.initial_distribution[0] = 1.0;
+  const PolicyOptimizer optimizer(c.model, c.config);
+  std::vector<OptimizationConstraint> constraints = {
+      {metrics::queue_length(c.model), 0.5, "performance"}};
+  if (loose_row) {
+    constraints.push_back({metrics::request_loss(c.model), 1.0, "loss"});
+  }
+  c.problem = optimizer.build_lp(metrics::power(c.model), constraints);
+  return c;
+}
+
+// The independent Lagrangian dual bound at the multiplier the LP
+// reports for the queue row: policy iteration on power + lambda * queue,
+// evaluated exactly from p0, less lambda times the discounted bound.
+double dual_bound(const Corner& c, const lp::LpSolution& sol) {
+  const std::size_t queue_row = c.model.num_states();
+  const double lambda = -sol.duals.at(queue_row);
+  const StateActionMetric power = metrics::power(c.model);
+  const StateActionMetric queue = metrics::queue_length(c.model);
+  const StateActionMetric lagrangian = [&](std::size_t s, std::size_t a) {
+    return power(s, a) + lambda * queue(s, a);
+  };
+  const double gamma = c.config.discount;
+  const PolicyIterationResult pi =
+      policy_iteration(c.model, lagrangian, gamma);
+  const PolicyEvaluation eval(c.model, pi.policy, gamma,
+                              c.config.initial_distribution);
+  return eval.total(lagrangian) -
+         lambda * c.problem.constraints()[queue_row].rhs;
+}
+
+// The Lagrangian seed starts the cold solve at its optimal basis: cap
+// 127, which every simplex rung failed on before the seed, is optimal
+// on the plain rung with no pivot to speak of, equal to the tableau's
+// optimum and to the dual bound.
+TEST(SupervisorLadder, HardCornerSolvesOnThePlainRung) {
+  const Corner c = corner(127);
+  const SolveOutcome out = SolveSupervisor{}.solve(c.problem);
+  ASSERT_TRUE(out.determined())
+      << robust::to_string(out.failure->reason) << " " << out.failure->detail;
+  ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal);
+  ASSERT_EQ(out.steps.size(), 1u);
+  EXPECT_EQ(out.steps[0].rung, RecoveryRung::kPlain);
+  EXPECT_LE(out.solution.iterations, 1u);
+  EXPECT_GT(out.seed_factorizations, 0u);
+
+  const lp::LpSolution want = lp::solve_simplex(c.problem);
+  ASSERT_EQ(want.status, lp::LpStatus::kOptimal);
+  EXPECT_NEAR(out.solution.objective, want.objective,
+              1e-9 * std::abs(want.objective));
+  EXPECT_NEAR(out.solution.objective, dual_bound(c, out.solution),
+              1e-9 * std::abs(want.objective));
+  EXPECT_LT(c.problem.max_violation(out.solution.x), 1e-7);
+}
+
+// Above the tableau limit the answer is optimal at the independent
+// dual bound, or a typed failure — never `infeasible`, never an
+// unaudited optimum.  (Cap 511 ends typed today: the engine's LU of the
+// seeded basis is unstable there, and the residual audit rejects the
+// point it leads to.  Cap 1023 is optimal on the plain rung.)
+TEST(SupervisorLadder, HardCornerAboveTheTableauLimitIsOptimalOrTyped) {
+  for (const std::size_t cap : {511, 1023}) {
+    const Corner c = corner(cap);
+    ASSERT_GT(c.problem.num_variables(), robust::kCrossCheckTableauColumns);
+    const SolveOutcome out = SolveSupervisor{}.solve(c.problem);
+    EXPECT_NE(out.solution.status, lp::LpStatus::kInfeasible) << cap;
+    if (out.determined()) {
+      ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal) << cap;
+      EXPECT_NEAR(out.solution.objective, dual_bound(c, out.solution),
+                  1e-9 * std::abs(out.solution.objective))
+          << cap;
+      EXPECT_LT(c.problem.max_violation(out.solution.x),
+                1e-7 * (1.0 + c.problem.constraints().back().rhs))
+          << cap;
+    } else {
+      ASSERT_TRUE(out.failure.has_value()) << cap;
+      EXPECT_NE(out.failure->reason, robust::FailureReason::kBadModel) << cap;
+    }
+  }
 }
 
 // No rung solves a different LP, so a failing ladder never turns into a
 // wrong `infeasible`: at or below the tableau limit the tableau answers.
-TEST(SupervisorLadder, HardCornerIsAnsweredByTheTableau) {
-  const lp::LpProblem problem = corner_lp(127);
-  ASSERT_LE(problem.num_variables(), robust::kCrossCheckTableauColumns);
-  const SolveOutcome out = SolveSupervisor{}.solve(problem);
+TEST(SupervisorLadder, UnseededHardCornerIsAnsweredByTheTableau) {
+  const Corner c = corner(127, /*loose_row=*/true);
+  ASSERT_LE(c.problem.num_variables(), robust::kCrossCheckTableauColumns);
+  const SolveOutcome out = SolveSupervisor{}.solve(c.problem);
   ASSERT_TRUE(out.determined())
       << robust::to_string(out.failure->reason) << " " << out.failure->detail;
   ASSERT_EQ(out.solution.status, lp::LpStatus::kOptimal);
   EXPECT_EQ(out.steps.back().rung, RecoveryRung::kCrossCheck);
+  EXPECT_EQ(out.seed_factorizations, 0u);
 
-  const lp::LpSolution want = lp::solve_simplex(problem);
+  const lp::LpSolution want = lp::solve_simplex(c.problem);
   ASSERT_EQ(want.status, lp::LpStatus::kOptimal);
   EXPECT_NEAR(out.solution.objective, want.objective,
               1e-9 * std::abs(want.objective));
-  EXPECT_LT(problem.max_violation(out.solution.x), 1e-7);
+  EXPECT_LT(c.problem.max_violation(out.solution.x), 1e-7);
 }
 
-// Above the tableau limit the ladder ends on a typed failure.
-TEST(SupervisorLadder, HardCornerAboveTheTableauLimitFailsTyped) {
-  const lp::LpProblem problem = corner_lp(511);
-  ASSERT_GT(problem.num_variables(), robust::kCrossCheckTableauColumns);
-  const SolveOutcome out = SolveSupervisor{}.solve(problem);
+// Above the tableau limit the unseeded ladder ends on a typed failure.
+TEST(SupervisorLadder, UnseededHardCornerAboveTheTableauLimitFailsTyped) {
+  const Corner c = corner(511, /*loose_row=*/true);
+  ASSERT_GT(c.problem.num_variables(), robust::kCrossCheckTableauColumns);
+  const SolveOutcome out = SolveSupervisor{}.solve(c.problem);
   EXPECT_NE(out.solution.status, lp::LpStatus::kInfeasible);
   EXPECT_FALSE(out.determined());
   ASSERT_TRUE(out.failure.has_value());
